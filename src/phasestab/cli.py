@@ -175,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--fixture", choices=FIXTURES, help="bundled fixture frame")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", "-o", help="output JSON path (default stdout)")
-        p.add_argument("--jobs", type=int, default=1, help="worker cap; results are identical for any value")
 
     p = sub.add_parser("certify", help="phase retrievability certificate")
     common(p)

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
+from . import subsets
 from .errors import BudgetExceededError, VerdictConflictError
 from .frame_core import (
     Frame,
@@ -70,47 +72,37 @@ class Certificate:
 def complement_property(frame: Frame) -> tuple[bool, SubsetMask | None]:
     """Exact check that every partition (S, S^c) leaves one side spanning R^n.
 
-    Enumerates 2^(m-1) partitions (S and S^c are interchangeable); the witness
-    on failure is the smallest violating bitmask.
+    Enumerates the 2^(m-1) partitions whose S omits the last index (S and S^c
+    are interchangeable) in increasing bitmask order, with the batched rank
+    verdict of `subsets.spans`; the witness on failure is the smallest
+    violating bitmask.
     """
-    n, m = frame.dim, frame.count
+    m = frame.count
     if m > COMPLEMENT_BUDGET_M:
         raise BudgetExceededError(
             f"exact complement check infeasible: m={m} > {COMPLEMENT_BUDGET_M}"
         )
-    mat = frame.matrix
-    # Iterate subsets not containing the last index, so each partition appears once,
-    # in increasing bitmask order for deterministic witnesses.
-    spans: dict[int, bool] = {}
-
-    def _spans(bits: int) -> bool:
-        if bits not in spans:
-            cols = [i for i in range(m) if bits >> i & 1]
-            spans[bits] = matrix_rank(mat[:, cols]) == n if cols else False
-        return spans[bits]
-
-    full = (1 << m) - 1
-    for bits in range(1 << (m - 1)):
-        if not _spans(bits) and not _spans(full ^ bits):
-            return False, SubsetMask(bits, m)
-    return True, None
+    bits = subsets.first_violating_partition(frame.matrix)
+    return (True, None) if bits is None else (False, SubsetMask(bits, m))
 
 
 def full_spark(frame: Frame) -> tuple[bool, SubsetMask | None]:
-    """Exact check that every n-subset of columns is linearly independent."""
+    """Exact check that every n-subset of columns is linearly independent.
+
+    The witness is the first deficient n-subset in itertools.combinations
+    order (all columns when m < n).
+    """
     n, m = frame.dim, frame.count
     if m < n:
         return False, SubsetMask.from_indices(range(m), m)
-    from math import comb
-
     if comb(m, n) > FULL_SPARK_BUDGET:
         raise BudgetExceededError(
             f"full spark enumeration infeasible: C({m},{n}) > {FULL_SPARK_BUDGET}"
         )
-    for subset in combinations(range(m), n):
-        if matrix_rank(frame.matrix[:, subset]) < n:
-            return False, SubsetMask.from_indices(subset, m)
-    return True, None
+    idx = subsets.first_deficient(frame.matrix)
+    if idx is None:
+        return True, None
+    return False, SubsetMask.from_indices(idx.tolist(), m)
 
 
 def r_matrix(frame: Frame, x: np.ndarray) -> np.ndarray:

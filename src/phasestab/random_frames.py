@@ -12,6 +12,7 @@ from math import comb
 
 import numpy as np
 
+from . import subsets
 from .errors import BudgetExceededError, ValidationError
 from .frame_core import Frame, null_vector
 from .robustness import delta as delta_op, omega as omega_op, tau as tau_op
@@ -100,40 +101,15 @@ def witness_bound_51(frame: Frame) -> dict:
     }
 
 
-def _exact_omega_full_spark(frame: Frame) -> float:
-    """Exact omega for a full-spark frame via batched size-(n-1) complements."""
-    n, m = frame.dim, frame.count
-    mat = frame.matrix
-    full_gram = mat @ mat.T
-    combos = np.array(list(_combinations_array(m, n - 1)), dtype=int)
-    if combos.size == 0:  # n == 1
-        evals = np.linalg.eigvalsh(full_gram)
-        return float(np.sqrt(max(evals[0], 0.0)))
-    outers = np.einsum("ij,kj->jik", mat, mat)  # (m, n, n)
-    best = np.inf
-    chunk = max(1, 50_000_000 // (max(n - 1, 1) * n * n * 8))
-    for lo in range(0, len(combos), chunk):
-        batch = combos[lo : lo + chunk]
-        grams = full_gram[None] - outers[batch].sum(axis=1)
-        evals = np.linalg.eigvalsh(grams)
-        best = min(best, float(evals[:, 0].min()))
-    return float(np.sqrt(max(best, 0.0)))
-
-
-def _combinations_array(m: int, k: int):
-    from itertools import combinations
-
-    return combinations(range(m), k)
-
-
 def minimal_redundancy_study(
     n_list: list[int], trials: int, seed: int
 ) -> StudyResult:
     """Exact omega for unit-column Gaussian frames at minimal redundancy
     m = 2n-1, with exponential and polynomial decay fits on the medians.
 
-    Non-full-spark draws (measure zero) are discarded and redrawn; for n <= 6
-    the identity Delta = omega is asserted by exhaustive enumeration.
+    Non-full-spark draws (measure zero) are discarded and redrawn; omega is
+    then the exact full-spark enumeration of `omega(mode="exact")`.  For
+    n <= 6 the identity Delta = omega is asserted by exhaustive enumeration.
     """
     result = StudyResult()
     medians = {}
@@ -153,7 +129,7 @@ def minimal_redundancy_study(
                 redraws += 1
                 attempt += 1
                 frame = gaussian_frame(spec, trial + (attempt << 20))
-            omega_val = _exact_omega_full_spark(frame)
+            omega_val, _ = subsets.omega_full_spark(frame.matrix)
             if n <= 6:
                 delta_val, _, _ = delta_op(frame, mode="exact")
                 if abs(delta_val - omega_val) > 1e-10 * max(1.0, omega_val):

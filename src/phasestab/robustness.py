@@ -8,7 +8,6 @@ the extremal witnesses that make the bounds tight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -35,6 +34,7 @@ from .frame_core import (
     sym_eig,
     frame_bounds,
 )
+from . import subsets
 from .injectivity import A0Config, a0 as a0_search, full_spark
 
 EXACT_SUBSET_BUDGET = 1 << 18  # cap on 2^(m-1) for exhaustive Delta
@@ -101,18 +101,6 @@ class StabilityReport:
 # Subset-spectral constants: Delta, omega, tau.
 # ---------------------------------------------------------------------------
 
-def _all_lower_bounds(frame: Frame) -> np.ndarray:
-    """A[S] for every bitmask S, via incremental Gram updates, batched eigh."""
-    n, m = frame.dim, frame.count
-    outers = np.einsum("ij,kj->jik", frame.matrix, frame.matrix)  # (m, n, n)
-    grams = np.zeros((1 << m, n, n))
-    for bits in range(1, 1 << m):
-        low = bits & -bits
-        grams[bits] = grams[bits ^ low] + outers[low.bit_length() - 1]
-    evals = np.linalg.eigvalsh(grams)
-    return np.maximum(evals[:, 0], 0.0)
-
-
 def delta(
     frame: Frame,
     mode: str = "exact",
@@ -121,19 +109,20 @@ def delta(
 ) -> tuple[float, SubsetMask, bool]:
     """Delta = min over partitions (S, S^c) of sqrt(A[S] + A[S^c]).
 
-    Exact mode enumerates all 2^(m-1) partitions.  Sampled mode minimizes over
-    seeded random subsets, thin subsets, and a Hamming-distance-1 local descent
-    from the incumbent; the result is then an upper bound (exact=False).
+    Exact mode enumerates all 2^(m-1) partitions S < 2^(m-1) in chunks of
+    bounded memory and returns the first minimum in bitmask order
+    (`subsets.delta_exact`; the budget bounds time, not memory).  Sampled
+    mode minimizes over seeded random subsets, thin subsets, and a
+    Hamming-distance-1 local descent from the incumbent; the result is then
+    an upper bound (exact=False).
     """
     n, m = frame.dim, frame.count
     full = (1 << m) - 1
     if mode == "exact":
         if 1 << (m - 1) > max(budget, EXACT_SUBSET_BUDGET):
             raise BudgetExceededError(f"exact Delta infeasible for m={m}")
-        lows = _all_lower_bounds(frame)
-        sums = lows[: 1 << (m - 1)] + lows[full ^ np.arange(1 << (m - 1))]
-        best = int(np.argmin(sums))
-        return float(np.sqrt(sums[best])), SubsetMask(best, m), True
+        value, bits = subsets.delta_exact(frame.matrix)
+        return value, SubsetMask(bits, m), True
     if mode != "sampled":
         raise ValidationError(f"unknown delta mode {mode!r}")
 
@@ -180,15 +169,6 @@ def delta(
     return float(np.sqrt(best_val)), SubsetMask(best_bits, m), False
 
 
-def _sigma_n(frame: Frame, bits: int) -> float:
-    cols = [i for i in range(frame.count) if bits >> i & 1]
-    if not cols:
-        return 0.0
-    sub = frame.matrix[:, cols]
-    evals = np.linalg.eigvalsh(sub @ sub.T)
-    return float(np.sqrt(max(evals[0], 0.0)))
-
-
 def omega(
     frame: Frame,
     mode: str = "exact",
@@ -199,55 +179,33 @@ def omega(
 
     Exact mode: under full spark only complements of size n-1 need checking
     (sigma_n grows with S, so the minimum sits at maximal deficient S^c);
-    otherwise all 2^m subsets are enumerated up to the budget.
+    otherwise all 2^m subsets are enumerated up to the budget.  The witness
+    is the first subset in enumeration order, replaced only by a value more
+    than 1e-15 below it (`subsets.omega_full_spark`,
+    `subsets.omega_all_subsets`).  Sampled mode keeps the same tie-break.
     """
     n, m = frame.dim, frame.count
-    full = (1 << m) - 1
     if mode == "exact":
-        is_spark, _ = full_spark(frame)
-        if is_spark and m >= n:
-            best_bits, best_val = None, np.inf
-            for subset in combinations(range(m), n - 1):
-                comp_bits = 0
-                for i in subset:
-                    comp_bits |= 1 << i
-                bits = full ^ comp_bits
-                v = _sigma_n(frame, bits)
-                if v < best_val - 1e-15 or best_bits is None:
-                    best_bits, best_val = bits, v
-            return best_val, SubsetMask(best_bits, m), True
+        if full_spark(frame)[0]:
+            value, bits = subsets.omega_full_spark(frame.matrix)
+            return value, SubsetMask(bits, m), True
         if 1 << m > EXACT_SUBSET_BUDGET:
             raise BudgetExceededError(
                 f"exact omega infeasible for non-full-spark frame with m={m}"
             )
-        mat = frame.matrix
-        best_bits, best_val = None, np.inf
-        for bits in range(1 << m):
-            comp = full ^ bits
-            comp_cols = [i for i in range(m) if comp >> i & 1]
-            if comp_cols and matrix_rank(mat[:, comp_cols]) >= n:
-                continue
-            v = _sigma_n(frame, bits)
-            if v < best_val - 1e-15 or best_bits is None:
-                best_bits, best_val = bits, v
-        if best_bits is None:
+        found = subsets.omega_all_subsets(frame.matrix)
+        if found is None:
             raise NotAFrameError("no rank-deficient complement found")
-        return best_val, SubsetMask(best_bits, m), True
+        return found[0], SubsetMask(found[1], m), True
     if mode != "sampled":
         raise ValidationError(f"unknown omega mode {mode!r}")
+    if budget < 1:
+        raise ValidationError(f"sampled omega needs a budget >= 1, got {budget}")
 
     rng = np.random.default_rng(np.random.Philox(key=[seed, 0x03E_6A]))
-    best_bits, best_val = None, np.inf
-    for _ in range(budget):
-        idx = rng.choice(m, size=n - 1, replace=False)
-        comp_bits = 0
-        for i in idx:
-            comp_bits |= 1 << int(i)
-        bits = full ^ comp_bits
-        v = _sigma_n(frame, bits)
-        if v < best_val - 1e-15 or best_bits is None:
-            best_bits, best_val = bits, v
-    return best_val, SubsetMask(best_bits, m), False
+    draws = (rng.choice(m, size=n - 1, replace=False) for _ in range(budget))
+    value, bits = subsets.omega_complements(frame.matrix, draws)
+    return value, SubsetMask(bits, m), False
 
 
 def tau(frame: Frame) -> float:
@@ -257,14 +215,7 @@ def tau(frame: Frame) -> float:
         raise NotAFrameError("no rank-n subset exists: the columns do not span R^n")
     if comb(m, n) > EXACT_SUBSET_BUDGET:
         raise BudgetExceededError(f"tau enumeration infeasible: C({m},{n}) too large")
-    best = np.inf
-    mat = frame.matrix
-    for subset in combinations(range(m), n):
-        sub = mat[:, subset]
-        if matrix_rank(sub) < n:
-            continue
-        evals = np.linalg.eigvalsh(sub @ sub.T)
-        best = min(best, float(np.sqrt(max(evals[0], 0.0))))
+    best = subsets.tau(frame.matrix)
     if not np.isfinite(best):
         raise NotAFrameError("no full-rank size-n subset found")
     return best

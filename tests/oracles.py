@@ -68,6 +68,16 @@ def subset_sigma_n(F, idx):
     return float(s[n - 1]) if len(s) >= n else 0.0
 
 
+def spans_svd(F, idx, rtol=1e-10):
+    """Whether the chosen columns span R^n: sigma_n > rtol * sigma_1 by SVD,
+    the relative rank rule of the library (the empty set never spans)."""
+    n = F.shape[0]
+    if len(idx) < n:
+        return False
+    s = np.linalg.svd(F[:, list(idx)], compute_uv=False)
+    return bool(s[n - 1] > rtol * s[0])
+
+
 def delta_bruteforce(F):
     """min over all subsets of sqrt(sigma_n(F_S)^2 + sigma_n(F_Sc)^2)."""
     n, m = F.shape

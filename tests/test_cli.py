@@ -170,11 +170,6 @@ class TestReproducibility:
             outs.append(out)
         assert outs[0] == outs[1]
 
-    def test_jobs_flag_does_not_change_output(self, capsys):
-        base = run_cli(["constants", "--fixture", "mb3"], capsys)[1]
-        jobs4 = run_cli(["constants", "--fixture", "mb3", "--jobs", "4"], capsys)[1]
-        assert base == jobs4
-
     def test_console_script_matches_main(self, capsys):
         _, inproc = run_cli(["certify", "--fixture", "mb3"], capsys)
         proc = subprocess.run(

@@ -83,6 +83,10 @@ class TestSubsetConstants:
         with pytest.raises(BudgetExceededError):
             omega(Frame(mat), mode="exact")
 
+    def test_sampled_omega_needs_budget(self):
+        with pytest.raises(ValidationError):
+            omega(MB3, mode="sampled", budget=0)
+
     def test_tau_needs_rank_n_subset(self):
         with pytest.raises(NotAFrameError):
             tau(Frame(np.array([[1.0, 2.0], [0.0, 0.0]])))

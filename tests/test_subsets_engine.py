@@ -1,0 +1,289 @@
+"""The batched subset engine against SVD brute force, on random,
+duplicated-column and near-degenerate frames (m <= 10)."""
+
+import itertools
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from phasestab import (
+    Frame,
+    complement_property,
+    delta,
+    full_spark,
+    matrix_rank,
+    omega,
+    tau,
+)
+from phasestab import subsets
+from phasestab.errors import NotAFrameError
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def frames(draw):
+    """(kind, matrix): a Gaussian frame, one with a column repeated up to a
+    scale, or one with a column 1e-8 to 1e-13 off the span of n-1 others."""
+    kind = draw(st.sampled_from(["random", "duplicated", "near_degenerate"]))
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(n if kind == "random" else n + 1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = rng.standard_normal((n, m))
+    if kind == "duplicated":
+        i, j = rng.choice(m, size=2, replace=False)
+        mat[:, j] = draw(st.sampled_from([1.0, -1.0, 2.5])) * mat[:, i]
+    elif kind == "near_degenerate":
+        j, *others = rng.choice(m, size=n, replace=False)
+        basis = mat[:, others]
+        normal = np.linalg.qr(basis, mode="complete")[0][:, -1]
+        offset = 10.0 ** -draw(st.integers(8, 13))
+        mat[:, j] = basis @ rng.standard_normal(n - 1) + offset * normal
+    return kind, mat
+
+
+def gram_tol(mat, value, terms=1):
+    """1e-10, or where larger the rounding bound of sigma taken as the root
+    of a sum of `terms` Gram eigenvalues: m * eps * ||F||^2 per eigenvalue."""
+    dlam = terms * mat.shape[1] * EPS * np.linalg.norm(mat, 2) ** 2
+    bound = math.sqrt(dlam) if value <= 0 else min(math.sqrt(dlam), dlam / value)
+    return max(1e-10, bound)
+
+
+def sigma(mat, idx):
+    return oracles.subset_sigma_n(mat, idx)
+
+
+def complement(idx, m):
+    return tuple(j for j in range(m) if j not in idx)
+
+
+def all_subsets(m):
+    return itertools.chain.from_iterable(
+        itertools.combinations(range(m), r) for r in range(m + 1)
+    )
+
+
+def indices(bits, m):
+    return tuple(j for j in range(m) if bits >> j & 1)
+
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+class TestVerdicts:
+    @given(frames())
+    @SETTINGS
+    def test_full_spark_witness_is_first_deficient(self, case):
+        _, mat = case
+        n, m = mat.shape
+        first = next(
+            (S for S in itertools.combinations(range(m), n) if not oracles.spans_svd(mat, S)),
+            None,
+        )
+        ok, witness = full_spark(Frame(mat))
+        assert ok == (first is None)
+        assert (witness is None) if ok else tuple(witness.indices()) == first
+
+    @given(frames())
+    @SETTINGS
+    def test_complement_property(self, case):
+        _, mat = case
+        m = mat.shape[1]
+        violated = [
+            bits
+            for bits in range(1 << (m - 1))
+            if not oracles.spans_svd(mat, indices(bits, m))
+            and not oracles.spans_svd(mat, complement(indices(bits, m), m))
+        ]
+        ok, witness = complement_property(Frame(mat))
+        assert ok == (not violated)
+        if not ok:
+            assert witness.bits == violated[0]
+            assert not oracles.spans_svd(mat, witness.indices())
+            assert not oracles.spans_svd(mat, witness.complement().indices())
+
+    @given(frames())
+    @SETTINGS
+    def test_rank_rule_is_matrix_rank(self, case):
+        _, mat = case
+        n, m = mat.shape
+        bits = np.arange(1 << m, dtype=np.int64)
+        expect = [
+            bool(b) and matrix_rank(mat[:, list(indices(int(b), m))]) == n for b in bits
+        ]
+        assert subsets.spans(mat, bits).tolist() == expect
+
+
+class TestConstants:
+    @given(frames())
+    @SETTINGS
+    def test_tau(self, case):
+        _, mat = case
+        n, m = mat.shape
+        ranked = [
+            sigma(mat, S)
+            for S in itertools.combinations(range(m), n)
+            if oracles.spans_svd(mat, S)
+        ]
+        if not ranked:
+            with pytest.raises(NotAFrameError):
+                tau(Frame(mat))
+            return
+        ref = min(ranked)
+        assert abs(tau(Frame(mat)) - ref) <= gram_tol(mat, ref)
+
+    @given(frames())
+    @SETTINGS
+    def test_omega_and_witness(self, case):
+        _, mat = case
+        m = mat.shape[1]
+        ref = min(
+            sigma(mat, S)
+            for S in all_subsets(m)
+            if not oracles.spans_svd(mat, complement(S, m))
+        )
+        value, witness, exact = omega(Frame(mat), mode="exact")
+        tol = gram_tol(mat, ref)
+        assert exact and abs(value - ref) <= tol
+        assert not oracles.spans_svd(mat, witness.complement().indices())
+        assert abs(sigma(mat, witness.indices()) - value) <= tol
+
+    @given(frames())
+    @SETTINGS
+    def test_delta_and_witness(self, case):
+        _, mat = case
+        m = mat.shape[1]
+        ref = oracles.delta_bruteforce(mat)
+        value, witness, exact = delta(Frame(mat), mode="exact")
+        tol = gram_tol(mat, ref, terms=2)
+        assert exact and abs(value - ref) <= tol
+        attained = math.hypot(
+            sigma(mat, witness.indices()), sigma(mat, witness.complement().indices())
+        )
+        assert abs(attained - value) <= tol
+        assert witness.bits < 1 << (m - 1)
+
+    @given(frames().filter(lambda case: case[0] == "random"))
+    @settings(max_examples=15, deadline=None)
+    def test_random_frames_match_oracles(self, case):
+        _, mat = case
+        fr = Frame(mat)
+        assert omega(fr)[0] == pytest.approx(oracles.omega_bruteforce(mat), abs=1e-10)
+        assert tau(fr) == pytest.approx(oracles.tau_bruteforce(mat), abs=1e-10)
+
+
+def _sigma_loop(mat, bits):
+    cols = list(indices(bits, mat.shape[1]))
+    if not cols:
+        return 0.0
+    sub = mat[:, cols]
+    return float(np.sqrt(max(np.linalg.eigvalsh(sub @ sub.T)[0], 0.0)))
+
+
+def _omega_loop(mat):
+    """Exact omega one subset at a time, with omega's 1e-15 tie-break."""
+    n, m = mat.shape
+    full = (1 << m) - 1
+    if full_spark(Frame(mat))[0]:
+        candidates = (
+            full ^ sum(1 << i for i in c) for c in itertools.combinations(range(m), n - 1)
+        )
+    else:
+        candidates = (
+            b for b in range(1 << m)
+            if b == full or matrix_rank(mat[:, list(indices(full ^ b, m))]) < n
+        )
+    best_bits, best_val = None, np.inf
+    for bits in candidates:
+        v = _sigma_loop(mat, bits)
+        if v < best_val - 1e-15 or best_bits is None:
+            best_bits, best_val = bits, v
+    return best_val, best_bits
+
+
+def _tau_loop(mat):
+    n, m = mat.shape
+    return min(
+        (
+            _sigma_loop(mat, sum(1 << i for i in S))
+            for S in itertools.combinations(range(m), n)
+            if matrix_rank(mat[:, list(S)]) == n
+        ),
+        default=math.inf,
+    )
+
+
+def _delta_one_stack(mat):
+    """Delta from one 2^m stack of Grams built by adding each bitmask's
+    lowest column last: the per-subset reference the chunks must reproduce."""
+    n, m = mat.shape
+    outers = np.einsum("ij,kj->jik", mat, mat)
+    grams = np.zeros((1 << m, n, n))
+    for bits in range(1, 1 << m):
+        low = bits & -bits
+        grams[bits] = grams[bits ^ low] + outers[low.bit_length() - 1]
+    lows = np.maximum(np.linalg.eigvalsh(grams)[:, 0], 0.0)
+    half = 1 << (m - 1)
+    sums = lows[:half] + lows[((1 << m) - 1) ^ np.arange(half)]
+    best = int(np.argmin(sums))
+    return float(np.sqrt(sums[best])), best
+
+
+class TestAgainstLoops:
+    @given(frames())
+    @settings(max_examples=20, deadline=None)
+    def test_results_do_not_depend_on_chunk_size(self, case):
+        _, mat = case
+        fr = Frame(mat)
+
+        def run():
+            out = [full_spark(fr), complement_property(fr), delta(fr), omega(fr)]
+            try:
+                out.append(tau(fr))
+            except NotAFrameError:
+                out.append(None)
+            return out
+
+        big = run()
+        saved = subsets.CHUNK_BYTES
+        try:
+            subsets.CHUNK_BYTES = 512  # a few subsets per chunk
+            small = run()
+        finally:
+            subsets.CHUNK_BYTES = saved
+        assert small == big
+
+    @given(frames())
+    @settings(max_examples=20, deadline=None)
+    def test_omega_and_tau_bit_identical_to_loops(self, case):
+        _, mat = case
+        value, witness, _ = omega(Frame(mat))
+        assert (value, witness.bits) == _omega_loop(mat)
+        try:
+            assert tau(Frame(mat)) == _tau_loop(mat)
+        except NotAFrameError:
+            assert _tau_loop(mat) == math.inf
+
+    @given(frames())
+    @settings(max_examples=20, deadline=None)
+    def test_delta_bit_identical_to_one_stack(self, case):
+        _, mat = case
+        value, witness, _ = delta(Frame(mat))
+        assert (value, witness.bits) == _delta_one_stack(mat)
+
+    def test_exact_delta_memory_is_capped(self):
+        mat = np.random.default_rng(917).standard_normal((9, 17))
+        tracemalloc.start()
+        try:
+            delta(Frame(mat), mode="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 2^17 x 9 x 9 stack alone would take 85 MB
+        assert peak < subsets.CHUNK_BYTES

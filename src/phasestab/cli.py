@@ -91,11 +91,13 @@ def cmd_constants(args) -> int:
 def cmd_stability(args) -> int:
     frame = _load_input(args)
     x = _parse_vector(args.x, frame.dim)
-    report = robustness.q_eps_estimate(
-        frame, x, args.eps, robustness.QepsConfig(seed=args.seed, restarts=args.restarts)
-    )
+    # The brackets need exact Delta and omega, so there is no sampled
+    # fallback: an over-budget frame fails before the Q_eps search runs.
+    analysis = robustness.FrameAnalysis(frame, sample_budget=None)
+    cfg = robustness.QepsConfig(seed=args.seed, restarts=args.restarts)
+    report = robustness.q_eps_estimate(frame, x, args.eps, cfg, analysis)
     doc = report.to_json_dict()
-    doc["brackets"] = robustness.q_eps_brackets(frame, args.eps)
+    doc["brackets"] = robustness.q_eps_brackets(frame, args.eps, analysis)
     _emit(to_json(doc) + "\n", _out_path(args, "stability.json", args.out))
     return 0
 

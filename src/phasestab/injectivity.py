@@ -31,6 +31,9 @@ A0_REL_TOL = 1e-12
 
 COMPLEMENT_BUDGET_M = 24          # 2^(m-1) partitions enumerated up to here
 FULL_SPARK_BUDGET = 10_000_000    # cap on C(m, n)
+POLAR_STEP = 1e-3                 # angular step of the n = 2 grid (no error bound)
+A0_TOL = 1e-10                    # a0 descent stops below this gradient norm or gain
+STRUCTURED_BUDGET = 4096          # 2^m subsets probed for null-vector starts
 
 
 @dataclass
@@ -38,11 +41,8 @@ class A0Config:
     """Search configuration for the a0 minimization."""
 
     restarts: int = 64
-    grid_density: float = 1e-3   # angular step for the certified n=2 grid
     max_iters: int = 200
-    tol: float = 1e-10
     seed: int = 0
-    structured_budget: int = 4096  # subsets probed for null-vector starts
 
 
 @dataclass
@@ -117,16 +117,52 @@ def _lambda_min_r(frame: Frame, x: np.ndarray) -> tuple[float, np.ndarray]:
     return float(max(evals[-1], 0.0)), evecs[:, -1]
 
 
-def _a0_polar_grid(frame: Frame, cfg: A0Config) -> tuple[float, np.ndarray, np.ndarray]:
-    """Certified minimization for n=2: dense angular grid plus local refinement.
+def _polar_argmin(objective) -> np.ndarray:
+    """Unit x = (cos phi, sin phi), phi in [0, pi), minimizing objective(xs)
+    over 2 x k arrays of such columns: a POLAR_STEP grid, then 12 rounds of
+    65 points over +-width around the winner, width / 16 per round.  A
+    minimum narrower than the grid step can be missed: no error bound."""
+    phis, width = np.arange(0.0, np.pi, POLAR_STEP), POLAR_STEP
+    for _ in range(13):  # the full grid, then 12 refinements
+        center = phis[int(np.argmin(objective(np.vstack([np.cos(phis), np.sin(phis)]))))]
+        phis, width = np.linspace(center - width, center + width, 65), width / 16.0
+    return np.array([np.cos(center), np.sin(center)])
 
-    lambda_min(R(x)) on the circle has a closed 2x2 form, so the grid sweep is
-    vectorized and the winner is polished by shrinking grids around it.
-    """
+
+def _sphere_descent(f, grad, x, val, extra, max_iters: int, tol: float):
+    """Descent of f on the unit sphere from unit x, (val, extra) = f(x): each
+    round backtracks along the projected grad(x, extra) over 40 halvings of
+    t until the Armijo test (constant 0.25) holds, then starts the next
+    round at min(2t, 1).  Stops after max_iters rounds, below a gradient
+    norm of tol, or when no t passes; returns (val, x, extra) there."""
+    step = 1.0
+    for _ in range(max_iters):
+        g = grad(x, extra)
+        rgrad = g - np.dot(g, x) * x
+        gnorm = np.linalg.norm(rgrad)
+        if gnorm < tol:
+            break
+        t = step
+        for _ in range(40):
+            cand = x - t * rgrad
+            cand /= np.linalg.norm(cand)
+            cand_val, cand_extra = f(cand)
+            if cand_val < val - 0.25 * t * gnorm**2:
+                x, val, extra = cand, cand_val, cand_extra
+                step = min(t * 2.0, 1.0)
+                break
+            t *= 0.5
+        else:
+            break
+    return val, x, extra
+
+
+def _a0_polar_grid(frame: Frame) -> tuple[float, np.ndarray, np.ndarray]:
+    """a0 for n = 2 on the polar grid, which carries no error bound;
+    lambda_min(R(x)) has a closed 2x2 form, so each grid is one sweep."""
     mat = frame.matrix
 
-    def lam_min(phis: np.ndarray) -> np.ndarray:
-        xs = np.vstack([np.cos(phis), np.sin(phis)])      # (2, k)
+    def lam_min(xs: np.ndarray) -> np.ndarray:
         c2 = (mat.T @ xs) ** 2                            # (m, k)
         # R entries: [[r00, r01], [r01, r11]]
         r00 = c2.T @ (mat[0] ** 2)
@@ -136,29 +172,18 @@ def _a0_polar_grid(frame: Frame, cfg: A0Config) -> tuple[float, np.ndarray, np.n
         disc = np.sqrt(np.maximum((r00 - r11) ** 2 + 4 * r01**2, 0.0))
         return 0.5 * (tr - disc)
 
-    lo, hi = 0.0, np.pi
-    phis = np.arange(lo, hi, cfg.grid_density)
-    vals = lam_min(phis)
-    best = int(np.argmin(vals))
-    center, width = phis[best], cfg.grid_density
-    for _ in range(12):  # shrink to ~1e-15 rad around the minimizer
-        local = np.linspace(center - width, center + width, 65)
-        lvals = lam_min(local)
-        k = int(np.argmin(lvals))
-        center, width = local[k], width / 16.0
-    x_star = np.array([np.cos(center), np.sin(center)])
+    x_star = _polar_argmin(lam_min)
     val, u_star = _lambda_min_r(frame, x_star)
     return val, x_star, u_star
 
 
-def _structured_starts(frame: Frame, cfg: A0Config) -> list[np.ndarray]:
+def _structured_starts(frame: Frame) -> list[np.ndarray]:
     """Null vectors of F_S^T for small subsets S: candidate minimizers where
     lambda_min(R(x)) can vanish exactly."""
     n, m = frame.dim, frame.count
     starts: list[np.ndarray] = []
-    if 2**m <= cfg.structured_budget:
-        subsets = range(1, 1 << m)
-        for bits in subsets:
+    if 2**m <= STRUCTURED_BUDGET:
+        for bits in range(1, 1 << m):
             cols = [i for i in range(m) if bits >> i & 1]
             sub = frame.matrix[:, cols]
             if matrix_rank(sub) < n:
@@ -185,39 +210,23 @@ def _a0_descent(frame: Frame, x0: np.ndarray, cfg: A0Config) -> tuple[float, np.
         evals, evecs = sym_eig(m_u)
         x_new = evecs[:, -1]
         new_val, u_new = _lambda_min_r(frame, x_new)
-        if new_val > val - cfg.tol:
+        if new_val > val - A0_TOL:
             break
         x, u, val = x_new, u_new, new_val
-    # Projected gradient polish on the sphere with backtracking.
-    step = 1.0
-    for _ in range(cfg.max_iters):
-        coeffs = mat.T @ x
-        grad = 2.0 * (mat * (coeffs * (mat.T @ u) ** 2)) @ np.ones(frame.count)
-        rgrad = grad - np.dot(grad, x) * x
-        gnorm = np.linalg.norm(rgrad)
-        if gnorm < cfg.tol:
-            break
-        t = step
-        improved = False
-        for _ in range(40):
-            cand = x - t * rgrad
-            cand /= np.linalg.norm(cand)
-            cand_val, cand_u = _lambda_min_r(frame, cand)
-            if cand_val < val - 0.25 * t * gnorm**2:
-                x, u, val = cand, cand_u, cand_val
-                step = min(t * 2.0, 1.0)
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    return val, x, u
+    # Projected gradient polish on the sphere; u is the eigenvector at x.
+    ones = np.ones(frame.count)
+    return _sphere_descent(
+        lambda y: _lambda_min_r(frame, y),
+        lambda y, v: 2.0 * (mat * ((mat.T @ y) * (mat.T @ v) ** 2)) @ ones,
+        x, val, u, cfg.max_iters, A0_TOL,
+    )
 
 
 def a0(frame: Frame, cfg: A0Config | None = None) -> tuple[float, np.ndarray, np.ndarray]:
     """The injectivity margin a0 = min over unit x of lambda_min(R(x)).
 
-    For n = 2 the value is certified by a dense polar grid with refinement.
+    For n = 2 a dense polar grid with refinement gives the value, with no
+    error bound.
     For n >= 3 a multi-start descent (structured null-vector starts plus
     seeded random starts) returns an upper bound on the true a0.
     """
@@ -227,11 +236,11 @@ def a0(frame: Frame, cfg: A0Config | None = None) -> tuple[float, np.ndarray, np
         one = np.ones(1)
         return val, one, one
     if frame.dim == 2:
-        return _a0_polar_grid(frame, cfg)
+        return _a0_polar_grid(frame)
 
     rng = np.random.default_rng(np.random.Philox(key=[cfg.seed, 0x61_30]))
     starts: list[np.ndarray] = list(np.eye(frame.dim))
-    starts.extend(_structured_starts(frame, cfg))
+    starts.extend(_structured_starts(frame))
     evals, evecs = sym_eig(gram(frame))
     starts.append(evecs[:, -1])
     for _ in range(cfg.restarts):

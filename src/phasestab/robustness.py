@@ -8,13 +8,13 @@ the extremal witnesses that make the bounds tight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
 
 from .errors import (
     BudgetExceededError,
-    DimensionMismatchError,
     NotAFrameError,
     ValidationError,
     VerdictConflictError,
@@ -29,16 +29,22 @@ from .frame_core import (
     dist_d1,
     gram,
     matrix_rank,
-    null_vector,
     subset_lower_bound,
     sym_eig,
     frame_bounds,
 )
 from . import subsets
-from .injectivity import A0Config, a0 as a0_search, full_spark
+from .injectivity import A0Config, _polar_argmin, _sphere_descent, a0 as a0_search, full_spark
 
 EXACT_SUBSET_BUDGET = 1 << 18  # cap on 2^(m-1) for exhaustive Delta
 DEFAULT_SAMPLE_BUDGET = 512
+
+LAMBDA_RESTARTS = 32           # seeded random starts of the Lambda_F ascent
+LAMBDA_MAX_ITERS = 200
+LAMBDA_TOL = 1e-12             # ascent stops below this gradient norm
+QEPS_GRID_POINTS = 400         # steps t per line search
+QEPS_REFINE_ROUNDS = 60        # hill-climb rounds on the winning direction
+QEPS_T_CAP = 1e6               # cap on the step range when omega = 0
 
 
 @dataclass
@@ -221,79 +227,83 @@ def tau(frame: Frame) -> float:
     return best
 
 
+@dataclass(eq=False)
+class FrameAnalysis:
+    """Delta, omega and tau of one frame, each computed once, on first use.
+
+    Over-budget Delta and omega fall back to seeded sampled upper bounds over
+    sample_budget subsets (exact flag False), or raise BudgetExceededError
+    when sample_budget is None.  The kernels are the module functions
+    `delta`, `omega` and `tau`, looked up at call time.
+    """
+
+    frame: Frame
+    sample_budget: int | None = DEFAULT_SAMPLE_BUDGET
+    seed: int = 0
+
+    def _exact_or_sampled(self, kernel) -> tuple[float, SubsetMask, bool]:
+        try:
+            return kernel(self.frame, mode="exact")
+        except BudgetExceededError:
+            if self.sample_budget is None:
+                raise
+        return kernel(self.frame, mode="sampled", budget=self.sample_budget, seed=self.seed)
+
+    @cached_property
+    def delta(self) -> tuple[float, SubsetMask, bool]:
+        """(Delta, witness partition S, exact flag)."""
+        return self._exact_or_sampled(delta)
+
+    @cached_property
+    def omega(self) -> tuple[float, SubsetMask, bool]:
+        """(omega, witness subset S, exact flag)."""
+        return self._exact_or_sampled(omega)
+
+    @cached_property
+    def tau(self) -> float:
+        return tau(self.frame)
+
+
 # ---------------------------------------------------------------------------
 # Lambda_F: operator norm of the analysis map into l^4.
 # ---------------------------------------------------------------------------
-
-@dataclass
-class LambdaConfig:
-    restarts: int = 32
-    grid_density: float = 1e-3
-    max_iters: int = 200
-    tol: float = 1e-12
-    seed: int = 0
-
 
 def _quartic_sum(frame: Frame, x: np.ndarray) -> float:
     return float(np.sum((frame.matrix.T @ x) ** 4))
 
 
-def lambdaF(frame: Frame, cfg: LambdaConfig | None = None) -> tuple[float, np.ndarray]:
+def lambdaF(frame: Frame) -> tuple[float, np.ndarray]:
     """Lambda_F = (max over unit x of sum_k |<x,f_k>|^4)^(1/4).
 
-    Cross-checked against Lambda_F^2 = max over unit x of lambda_max(R(x));
-    the two routes must agree within 1e-6 relative.
+    a0's searches run on the negated sum (IEEE negation is exact): the polar
+    grid for n = 2; for n >= 3 the sphere descent from the axes, the frame
+    vectors and LAMBDA_RESTARTS seeded starts.  Cross-checked against
+    Lambda_F^2 = max over unit x of lambda_max(R(x)); the two routes must
+    agree within 1e-6 relative.
     """
-    cfg = cfg or LambdaConfig()
     mat = frame.matrix
     n = frame.dim
 
     if n == 2:
-        phis = np.arange(0.0, np.pi, cfg.grid_density)
-        xs = np.vstack([np.cos(phis), np.sin(phis)])
-        vals = np.sum((mat.T @ xs) ** 4, axis=0)
-        best = int(np.argmax(vals))
-        center, width = phis[best], cfg.grid_density
-        for _ in range(12):
-            local = np.linspace(center - width, center + width, 65)
-            lx = np.vstack([np.cos(local), np.sin(local)])
-            lvals = np.sum((mat.T @ lx) ** 4, axis=0)
-            k = int(np.argmax(lvals))
-            center, width = local[k], width / 16.0
-        x_star = np.array([np.cos(center), np.sin(center)])
+        x_star = _polar_argmin(lambda xs: -np.sum((mat.T @ xs) ** 4, axis=0))
         best_val = _quartic_sum(frame, x_star)
     else:
-        rng = np.random.default_rng(np.random.Philox(key=[cfg.seed, 0x1A_4F]))
+        rng = np.random.default_rng(np.random.Philox(key=[0, 0x1A_4F]))
         starts = list(np.eye(n)) + [mat[:, j] for j in range(frame.count)]
-        starts += [rng.standard_normal(n) for _ in range(cfg.restarts)]
+        starts += [rng.standard_normal(n) for _ in range(LAMBDA_RESTARTS)]
         best_val, x_star = -np.inf, None
         for x0 in starts:
             norm = np.linalg.norm(x0)
             if norm == 0:
                 continue
             x = x0 / norm
-            val = _quartic_sum(frame, x)
-            step = 1.0
-            for _ in range(cfg.max_iters):
-                grad = 4.0 * mat @ ((mat.T @ x) ** 3)
-                rgrad = grad - np.dot(grad, x) * x
-                gnorm = np.linalg.norm(rgrad)
-                if gnorm < cfg.tol:
-                    break
-                t, moved = step, False
-                for _ in range(40):
-                    cand = x + t * rgrad
-                    cand /= np.linalg.norm(cand)
-                    cand_val = _quartic_sum(frame, cand)
-                    if cand_val > val + 0.25 * t * gnorm**2:
-                        x, val, moved = cand, cand_val, True
-                        step = min(2.0 * t, 1.0)
-                        break
-                    t *= 0.5
-                if not moved:
-                    break
-            if val > best_val:
-                best_val, x_star = val, x
+            neg, x, _ = _sphere_descent(
+                lambda y: (-_quartic_sum(frame, y), None),
+                lambda y, _: -(4.0 * mat @ ((mat.T @ y) ** 3)),
+                x, -_quartic_sum(frame, x), None, LAMBDA_MAX_ITERS, LAMBDA_TOL,
+            )
+            if -neg > best_val:
+                best_val, x_star = -neg, x
 
     # Cross-route: Lambda_F^2 must equal max lambda_max(R(x)) at the argmax.
     evals, _ = sym_eig((mat * (mat.T @ x_star) ** 2) @ mat.T)
@@ -310,28 +320,29 @@ def lambdaF(frame: Frame, cfg: LambdaConfig | None = None) -> tuple[float, np.nd
 # Local radii and ratio families.
 # ---------------------------------------------------------------------------
 
+def _active(frame: Frame, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|<f_k,x>|, ||f_k||) over the active set, where the coefficient is not
+    negligible against ||f_k|| ||x||."""
+    x = _check_vector(frame, x)
+    coeffs = np.abs(frame.matrix.T @ x)
+    norms = np.linalg.norm(frame.matrix, axis=0)
+    active = coeffs > 1e-12 * norms * np.linalg.norm(x)
+    if not np.any(active):
+        raise ValidationError("all frame coefficients vanish at x")
+    return coeffs[active], norms[active]
+
+
 def eps0(frame: Frame, x: np.ndarray) -> float:
     """eps0(x) = min nonzero |<f_k,x>| / max ||f_k|| over the active set."""
-    x = _check_vector(frame, x)
-    coeffs = frame.matrix.T @ x
-    norms = np.linalg.norm(frame.matrix, axis=0)
-    active = np.abs(coeffs) > 1e-12 * norms * np.linalg.norm(x)
-    if not np.any(active):
-        raise ValidationError("all frame coefficients vanish at x")
-    return float(np.min(np.abs(coeffs[active])) / np.max(norms[active]))
+    coeffs, norms = _active(frame, x)
+    return float(np.min(coeffs) / np.max(norms))
 
 
-def delta_x(frame: Frame, x: np.ndarray) -> float:
+def delta_x(frame: Frame, x: np.ndarray, analysis: FrameAnalysis | None = None) -> float:
     """delta_x = (2 tau / (max ||f_j|| + tau)) * min nonzero |<f_j,x>|."""
-    x = _check_vector(frame, x)
-    coeffs = frame.matrix.T @ x
-    norms = np.linalg.norm(frame.matrix, axis=0)
-    active = np.abs(coeffs) > 1e-12 * norms * np.linalg.norm(x)
-    if not np.any(active):
-        raise ValidationError("all frame coefficients vanish at x")
-    t = tau(frame)
-    lmax = frame.max_column_norm()
-    return float(2.0 * t / (lmax + t) * np.min(np.abs(coeffs[active])))
+    coeffs, _ = _active(frame, x)
+    t = (analysis or FrameAnalysis(frame)).tau
+    return float(2.0 * t / (frame.max_column_norm() + t) * np.min(coeffs))
 
 
 def u_ratio(frame: Frame, x: np.ndarray, y: np.ndarray) -> float:
@@ -391,11 +402,7 @@ def v_ratios_batch(frame: Frame, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 @dataclass
 class QepsConfig:
     restarts: int = 128
-    grid_points: int = 400
-    refine_rounds: int = 60
-    max_iters: int = 200
     seed: int = 0
-    t_cap: float = 1e6
 
 
 def _min_eigvec(mat: np.ndarray) -> np.ndarray:
@@ -403,25 +410,18 @@ def _min_eigvec(mat: np.ndarray) -> np.ndarray:
     return evecs[:, -1]
 
 
-def _structured_directions(frame: Frame) -> list[np.ndarray]:
+def _structured_directions(frame: Frame, analysis: FrameAnalysis) -> list[np.ndarray]:
     """Eigenvector/kernel directions from the extremal constructions."""
-    n, m = frame.dim, frame.count
     dirs = [_min_eigvec(gram(frame))]
-    try:
-        _, s_delta, _ = delta(frame, mode="exact")
-    except BudgetExceededError:
-        _, s_delta, _ = delta(frame, mode="sampled")
+    s_delta = analysis.delta[1]
     for mask in (s_delta, s_delta.complement()):
         if 0 < mask.size():
             dirs.append(_min_eigvec(gram(frame, mask)))
-    try:
-        _, s_omega, _ = omega(frame, mode="exact")
-    except BudgetExceededError:
-        _, s_omega, _ = omega(frame, mode="sampled")
+    s_omega = analysis.omega[1]
     comp = s_omega.complement()
     if comp.size() > 0:
         sub = frame.columns_for(comp)
-        if matrix_rank(sub) < n:
+        if matrix_rank(sub) < frame.dim:
             # kernel of F_{S^c}^T: direction invisible to the deficient block
             _, _, vt = np.linalg.svd(sub.T, full_matrices=True)
             dirs.append(vt[-1])
@@ -430,13 +430,7 @@ def _structured_directions(frame: Frame) -> list[np.ndarray]:
 
 
 def _best_t_along(
-    frame: Frame,
-    x: np.ndarray,
-    u: np.ndarray,
-    eps: float,
-    t_max: float,
-    grid: int,
-    t_floor: float = 0.0,
+    frame: Frame, x: np.ndarray, u: np.ndarray, eps: float, t_max: float, t_floor: float = 0.0
 ) -> tuple[float, float]:
     """Best feasible step along y = x + t u: returns (d(x,y), t).
 
@@ -445,36 +439,33 @@ def _best_t_along(
     feasible regions visible when eps << t_max.
     """
     ax = np.abs(frame.matrix.T @ x)
-    ts = np.linspace(0.0, t_max, grid)[1:]
-    if 0.0 < t_floor < t_max:
-        ts = np.concatenate([ts, np.geomspace(t_floor * 1e-2, t_max, grid)])
-    ys = x[None, :] + ts[:, None] * u[None, :]
-    ays = np.abs(ys @ frame.matrix)
-    feas = np.linalg.norm(ays - ax[None, :], axis=1) <= eps
-    if not np.any(feas):
-        return 0.0, 0.0
-    dvals = np.minimum(
-        np.linalg.norm(ys - x[None, :], axis=1), np.linalg.norm(ys + x[None, :], axis=1)
-    )
-    dvals = np.where(feas, dvals, -np.inf)
-    k = int(np.argmax(dvals))
-    best_d, best_t = float(dvals[k]), float(ts[k])
-    # zoom around the winner; cover the neighbor gap of either sub-grid
-    width = max(t_max / (grid - 1), 0.05 * best_t)
-    for _ in range(6):
-        local = np.linspace(max(best_t - width, 0.0), best_t + width, 33)[1:]
-        ys = x[None, :] + local[:, None] * u[None, :]
+
+    def feasible_d(ts: np.ndarray) -> np.ndarray:
+        # d(x, x + t u) per step t, -inf where ||alpha(x) - alpha(y)|| > eps
+        ys = x[None, :] + ts[:, None] * u[None, :]
         ays = np.abs(ys @ frame.matrix)
         feas = np.linalg.norm(ays - ax[None, :], axis=1) <= eps
-        if np.any(feas):
-            dv = np.minimum(
-                np.linalg.norm(ys - x[None, :], axis=1),
-                np.linalg.norm(ys + x[None, :], axis=1),
-            )
-            dv = np.where(feas, dv, -np.inf)
-            k = int(np.argmax(dv))
-            if dv[k] > best_d:
-                best_d, best_t = float(dv[k]), float(local[k])
+        dvals = np.minimum(
+            np.linalg.norm(ys - x[None, :], axis=1), np.linalg.norm(ys + x[None, :], axis=1)
+        )
+        return np.where(feas, dvals, -np.inf)
+
+    ts = np.linspace(0.0, t_max, QEPS_GRID_POINTS)[1:]
+    if 0.0 < t_floor < t_max:
+        ts = np.concatenate([ts, np.geomspace(t_floor * 1e-2, t_max, QEPS_GRID_POINTS)])
+    dvals = feasible_d(ts)
+    k = int(np.argmax(dvals))
+    if dvals[k] == -np.inf:
+        return 0.0, 0.0
+    best_d, best_t = float(dvals[k]), float(ts[k])
+    # zoom around the winner; cover the neighbor gap of either sub-grid
+    width = max(t_max / (QEPS_GRID_POINTS - 1), 0.05 * best_t)
+    for _ in range(6):
+        local = np.linspace(max(best_t - width, 0.0), best_t + width, 33)[1:]
+        dv = feasible_d(local)
+        k = int(np.argmax(dv))
+        if dv[k] > best_d:
+            best_d, best_t = float(dv[k]), float(local[k])
         width /= 16.0
     return best_d, best_t
 
@@ -484,7 +475,7 @@ def q_eps_estimate(
     x: np.ndarray,
     eps: float,
     cfg: QepsConfig | None = None,
-    constants: "StabilityConstants | None" = None,
+    analysis: FrameAnalysis | None = None,
 ) -> StabilityReport:
     """Lower-bound estimate of Q_eps(x) by multi-start feasible line searches.
 
@@ -492,7 +483,7 @@ def q_eps_estimate(
     ||alpha(x) - alpha(y)|| <= eps; structured starts (lowest-eigenvector and
     kernel directions from the extremal constructions) make the theory values
     reachable.  Every reported witness is verified feasible, so the estimate
-    is a true lower bound.
+    is a true lower bound.  Delta, omega and tau come from `analysis`.
     """
     cfg = cfg or QepsConfig()
     x = _check_vector(frame, x)
@@ -501,32 +492,21 @@ def q_eps_estimate(
     if not np.any(x):
         raise ValidationError("x must be nonzero")
 
-    if constants is not None:
-        a_lower = constants.sqrtA**2
-        b_upper = constants.sqrtB**2
-        delta_val, omega_val = constants.Delta, constants.omega
-    else:
-        a_lower, b_upper = frame_bounds(frame)
-        try:
-            delta_val = delta(frame, mode="exact")[0]
-        except BudgetExceededError:
-            delta_val = delta(frame, mode="sampled", seed=cfg.seed)[0]
-        try:
-            omega_val = omega(frame, mode="exact")[0]
-        except BudgetExceededError:
-            omega_val = omega(frame, mode="sampled", seed=cfg.seed)[0]
+    analysis = analysis or FrameAnalysis(frame, seed=cfg.seed)
+    delta_val, omega_val = analysis.delta[0], analysis.omega[0]
+    a_lower, b_upper = frame_bounds(frame)
 
     xnorm = float(np.linalg.norm(x))
     # Steps beyond ~2||x|| + eps/omega cannot help unless the frame is degenerate.
     if omega_val > 0:
         t_max = 4.0 * xnorm + 4.0 * eps / omega_val
     else:
-        t_max = min(cfg.t_cap, 4.0 * xnorm + 100.0 * eps)
+        t_max = min(QEPS_T_CAP, 4.0 * xnorm + 100.0 * eps)
     t_floor = eps / np.sqrt(b_upper) if b_upper > 0 else 0.0
 
     rng = np.random.default_rng(np.random.Philox(key=[cfg.seed, 0x9E_95]))
     dirs = []
-    for u in _structured_directions(frame):
+    for u in _structured_directions(frame, analysis):
         dirs.extend((u, -u))
     for _ in range(cfg.restarts):
         dirs.append(rng.standard_normal(frame.dim))
@@ -537,7 +517,7 @@ def q_eps_estimate(
         if norm == 0:
             continue
         u = u / norm
-        d, t = _best_t_along(frame, x, u, eps, t_max, cfg.grid_points, t_floor)
+        d, t = _best_t_along(frame, x, u, eps, t_max, t_floor)
         if d > best_d:
             best_d, best_y = d, x + t * u
 
@@ -545,10 +525,10 @@ def q_eps_estimate(
     if best_d > 0:
         u = (best_y - x) / np.linalg.norm(best_y - x)
         step = 0.5
-        for _ in range(cfg.refine_rounds):
+        for _ in range(QEPS_REFINE_ROUNDS):
             cand = u + step * rng.standard_normal(frame.dim)
             cand /= np.linalg.norm(cand)
-            d, t = _best_t_along(frame, x, cand, eps, t_max, cfg.grid_points, t_floor)
+            d, t = _best_t_along(frame, x, cand, eps, t_max, t_floor)
             if d > best_d:
                 best_d, best_y, u = d, x + t * cand, cand
             else:
@@ -563,7 +543,7 @@ def q_eps_estimate(
     lower = min(1.0 / eps, np.inf if omega_val == 0 else 1.0 / omega_val)
     q_theory = None
     try:
-        if eps < delta_x(frame, x):
+        if eps < delta_x(frame, x, analysis):
             q_theory = 1.0 / np.sqrt(a_lower)
     except (ValidationError, NotAFrameError, BudgetExceededError):
         pass
@@ -579,31 +559,26 @@ def q_eps_estimate(
     )
 
 
-def q_eps_brackets(frame: Frame, eps: float) -> dict:
+def q_eps_brackets(frame: Frame, eps: float, analysis: FrameAnalysis | None = None) -> dict:
     """Theory brackets for q_eps: lower min(1/eps, 1/omega), upper 1/Delta,
-    exact 1/omega when eps < tau; Delta = 0 reports an unbounded measure."""
+    exact 1/omega when eps < tau; Delta = 0 reports an unbounded measure.
+    A sampled Delta is no upper bracket: without exact Delta and omega this
+    raises BudgetExceededError."""
     if eps <= 0:
         raise ValidationError("eps must be positive")
-    delta_val, _, delta_exact = delta(frame, mode="exact")
-    omega_val, _, omega_exact = omega(frame, mode="exact")
-    if delta_val == 0.0:
-        return {
-            "lower": np.inf,
-            "upper": np.inf,
-            "exact": None,
-            "q_inf": np.inf,
-            "unbounded": True,
-            "exact_enumeration": bool(delta_exact and omega_exact),
-        }
-    tau_val = tau(frame)
-    exact = 1.0 / omega_val if eps < tau_val else None
+    analysis = analysis or FrameAnalysis(frame, sample_budget=None)
+    delta_val, _, delta_exact = analysis.delta
+    omega_val, _, omega_exact = analysis.omega
+    if not (delta_exact and omega_exact):
+        raise BudgetExceededError("Q_eps brackets need exact Delta and omega")
+    bounded = delta_val != 0.0
     return {
-        "lower": min(1.0 / eps, 1.0 / omega_val),
-        "upper": 1.0 / delta_val,
-        "exact": exact,
-        "q_inf": 1.0 / delta_val,
-        "unbounded": False,
-        "exact_enumeration": bool(delta_exact and omega_exact),
+        "lower": min(1.0 / eps, 1.0 / omega_val) if bounded else np.inf,
+        "upper": 1.0 / delta_val if bounded else np.inf,
+        "exact": 1.0 / omega_val if bounded and eps < analysis.tau else None,
+        "q_inf": 1.0 / delta_val if bounded else np.inf,
+        "unbounded": not bounded,
+        "exact_enumeration": True,
     }
 
 
@@ -637,48 +612,34 @@ def worst_case_witness(frame: Frame) -> tuple[np.ndarray, np.ndarray, float]:
     Delta-achieving partition; for Delta = 0 the triple demonstrates
     non-injectivity (alpha(x) = alpha(y) with x != ±y)."""
     delta_val, s0, _ = delta(frame, mode="exact")
-    u = _min_eigvec(gram(frame, s0)) if s0.size() else _pure_kernel(frame, s0)
+    # An empty side: any unit vector has ||F_S^T v|| = 0; take e_1.
+    e1 = np.eye(frame.dim)[0]
+    u = _min_eigvec(gram(frame, s0)) if s0.size() else e1
     comp = s0.complement()
-    v = _min_eigvec(gram(frame, comp)) if comp.size() else _pure_kernel(frame, comp)
+    v = _min_eigvec(gram(frame, comp)) if comp.size() else e1
     x = 0.5 * (u + v)
     y = 0.5 * (u - v)
     return x, y, delta_val
 
 
-def _pure_kernel(frame: Frame, mask: SubsetMask) -> np.ndarray:
-    # Empty subset: any unit vector has ||F_S^T v|| = 0; pick e_1 deterministically.
-    v = np.zeros(frame.dim)
-    v[0] = 1.0
-    return v
-
-
 def lipschitz_constants(
     frame: Frame,
     a0_cfg: A0Config | None = None,
-    lambda_cfg: LambdaConfig | None = None,
     subset_budget: int = DEFAULT_SAMPLE_BUDGET,
     seed: int = 0,
 ) -> StabilityConstants:
     """Assemble every stability constant and assert the theory chain
-    Delta = rho_inf <= omega <= rho_0 = sqrt(A) <= sqrt(B)."""
+    Delta = rho_inf <= omega <= rho_0 = sqrt(A) <= sqrt(B).  Over-budget
+    Delta and omega fall back to subset_budget seeded samples."""
+    analysis = FrameAnalysis(frame, subset_budget, seed)
     a_lower, b_upper = frame_bounds(frame)
+    delta_val, s_delta, delta_exact = analysis.delta
+    omega_val, s_omega, omega_exact = analysis.omega
     try:
-        delta_val, s_delta, delta_exact = delta(frame, mode="exact")
-    except BudgetExceededError:
-        delta_val, s_delta, delta_exact = delta(
-            frame, mode="sampled", budget=subset_budget, seed=seed
-        )
-    try:
-        omega_val, s_omega, omega_exact = omega(frame, mode="exact")
-    except BudgetExceededError:
-        omega_val, s_omega, omega_exact = omega(
-            frame, mode="sampled", budget=subset_budget, seed=seed
-        )
-    try:
-        tau_val, tau_exact = tau(frame), True
+        tau_val, tau_exact = analysis.tau, True
     except BudgetExceededError:
         tau_val, tau_exact = np.nan, False
-    lam, lam_arg = lambdaF(frame, lambda_cfg)
+    lam, lam_arg = lambdaF(frame)
     a0_val, a0_x, a0_u = a0_search(frame, a0_cfg)
 
     tol = 1e-9 * max(1.0, b_upper)

@@ -10,11 +10,12 @@ LAPACK call per chunk:
   the rule of `frame_core.matrix_rank`, from a batched SVD of the n x |S|
   blocks.  Rank is never read off Gram eigenvalues: their rounding noise is
   about eps * lambda_max, far above RANK_RTOL**2 * lambda_max.
-- Spectrum: lambda_min(F_S F_S^T) by `eigvalsh` of the stacked Grams, and
-  sigma_n(F_S) = sqrt(max(lambda_min, 0)).  This Gram route carries an
-  absolute error of about m * eps * ||F||^2 in lambda, i.e.
-  m * eps * ||F||^2 / sigma in sigma: up to 2.5e-10 against the SVD values
-  on seeded 9 x 17 Gaussian frames, where sigma ~ 1e-6.
+- Spectrum: tau takes sigma_n(F_S) from that same SVD, accurate to about
+  eps * ||F||.  omega and Delta take lambda_min(F_S F_S^T) by `eigvalsh` of
+  the stacked Grams, and sigma_n(F_S) = sqrt(max(lambda_min, 0)).  This
+  Gram route carries an absolute error of about m * eps * ||F||^2 in
+  lambda, i.e. m * eps * ||F||^2 / sigma in sigma: up to 2.5e-10 against
+  the SVD values on seeded 9 x 17 Gaussian frames, where sigma ~ 1e-6.
 
 Enumeration orders and tie-breaks (the witnesses depend on them):
 
@@ -97,13 +98,17 @@ def _by_size(bits: np.ndarray, m: int) -> Iterator[tuple[np.ndarray, np.ndarray]
         yield pos, np.nonzero(member[pos])[1].reshape(len(pos), int(k))
 
 
+def _rank_rule(svals: np.ndarray, n: int) -> np.ndarray:
+    """The rank rule on stacked singular values: sigma_n > RANK_RTOL * sigma_1."""
+    return svals[:, n - 1] > RANK_RTOL * svals[:, 0]
+
+
 def full_rank(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Rank verdict per row of idx: True where F_S spans R^n."""
     n = mat.shape[0]
     if idx.shape[1] < n:
         return np.zeros(len(idx), dtype=bool)
-    svals = np.linalg.svd(_stack(mat, idx), compute_uv=False)
-    return svals[:, n - 1] > RANK_RTOL * svals[:, 0]
+    return _rank_rule(np.linalg.svd(_stack(mat, idx), compute_uv=False), n)
 
 
 def spans(mat: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -175,13 +180,15 @@ def first_violating_partition(mat: np.ndarray) -> int | None:
 
 
 def tau(mat: np.ndarray) -> float:
-    """min sigma_n(F_S) over the n-subsets that span R^n (inf when none do)."""
+    """min sigma_n(F_S) over the n-subsets that span R^n (inf when none do),
+    with sigma_n read off the SVD that gives the rank verdict."""
     n, m = mat.shape
     best = np.inf
     for idx in chunked(combinations(range(m), n), n, n):
-        ok = full_rank(mat, idx)
+        svals = np.linalg.svd(_stack(mat, idx), compute_uv=False)
+        ok = _rank_rule(svals, n)
         if ok.any():
-            best = min(best, float(sigma_n(mat, idx[ok]).min()))
+            best = min(best, float(svals[ok, n - 1].min()))
     return best
 
 

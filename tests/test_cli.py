@@ -4,8 +4,10 @@ import sys
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
+from phasestab import robustness
 from phasestab.cli import main
 
 
@@ -95,6 +97,36 @@ class TestStability:
             ["stability", "--fixture", "mb3", "--x", "1,0", "--eps", "-1"], capsys
         )
         assert code == 2
+
+    def test_each_subset_constant_computed_once(self, capsys, monkeypatch):
+        calls = {"delta": 0, "omega": 0, "tau": 0}
+
+        def counted(name):
+            original = getattr(robustness, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(robustness, name, counted(name))
+        code, _ = run_cli(
+            ["stability", "--fixture", "mb3", "--x", "0.6,0.8", "--eps", "0.1"], capsys
+        )
+        assert code == 0
+        assert calls == {"delta": 1, "omega": 1, "tau": 1}
+
+    def test_exact_delta_over_budget_exit_3(self, capsys, tmp_path):
+        # 2^20 partitions: exact Delta is over its 2^18 budget, so the brackets
+        # cannot be exact and the call fails before any output
+        mat = np.random.default_rng(21).standard_normal((3, 21))
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"dim": 3, "count": 21, "columns": mat.T.tolist()}))
+        code, out = run_cli(["stability", str(path), "--x", "1,0,0", "--eps", "0.1"], capsys)
+        assert code == 3
+        assert out == ""
 
 
 class TestCrlb:

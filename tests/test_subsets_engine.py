@@ -55,6 +55,11 @@ def gram_tol(mat, value, terms=1):
     return max(1e-10, bound)
 
 
+def svd_tol(mat):
+    """Rounding bound of a singular value taken from an SVD: 10 eps ||F||_2."""
+    return 10 * EPS * np.linalg.norm(mat, 2)
+
+
 def sigma(mat, idx):
     return oracles.subset_sigma_n(mat, idx)
 
@@ -136,7 +141,25 @@ class TestConstants:
                 tau(Frame(mat))
             return
         ref = min(ranked)
-        assert abs(tau(Frame(mat)) - ref) <= gram_tol(mat, ref)
+        assert abs(tau(Frame(mat)) - ref) <= svd_tol(mat)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_tau_resolves_nearly_dependent_columns(self, seed):
+        # column 5 lies 1e-9 off the plane of columns 0 and 1: tau ~ 8e-10,
+        # below what the square root of a Gram eigenvalue can resolve
+        rng = np.random.default_rng(seed)
+        mat = rng.standard_normal((3, 6))
+        mat /= np.linalg.norm(mat, axis=0)
+        normal = np.cross(mat[:, 0], mat[:, 1])
+        mat[:, 5] = mat[:, :2] @ rng.standard_normal(2) + 1e-9 * normal / np.linalg.norm(normal)
+        mat[:, 5] /= np.linalg.norm(mat[:, 5])
+        ref = min(
+            sigma(mat, S)
+            for S in itertools.combinations(range(6), 3)
+            if oracles.spans_svd(mat, S)
+        )
+        assert ref < 1e-8
+        assert abs(tau(Frame(mat)) - ref) <= svd_tol(mat)
 
     @given(frames())
     @SETTINGS
@@ -208,10 +231,11 @@ def _omega_loop(mat):
 
 
 def _tau_loop(mat):
+    """Exact tau one subset at a time, sigma_n from the SVD of F_S."""
     n, m = mat.shape
     return min(
         (
-            _sigma_loop(mat, sum(1 << i for i in S))
+            float(np.linalg.svd(mat[:, list(S)], compute_uv=False)[n - 1])
             for S in itertools.combinations(range(m), n)
             if matrix_rank(mat[:, list(S)]) == n
         ),

@@ -16,10 +16,8 @@ from .frame_core import (
     frame_to_json_dict,
     gram,
     matrix_rank,
-    subset_lower_bound,
     Frame,
     SubsetMask,
-    SpectralSummary,
     analysis_map,
     analysis_map_sq,
     dist_d,
@@ -29,7 +27,6 @@ from .frame_core import (
     mercedes_benz_frame,
     null_vector,
     standard_basis_frame,
-    subset_spectrum,
     sym_eig,
 )
 from .injectivity import (

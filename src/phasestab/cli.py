@@ -47,6 +47,8 @@ def _parse_vector(text: str, n: int) -> np.ndarray:
         raise ValidationError(f"--x: not a comma-separated float list ({exc})") from exc
     if vec.shape != (n,):
         raise ValidationError(f"--x has {vec.size} entries, frame dimension is {n}")
+    if not np.all(np.isfinite(vec)):
+        raise ValidationError(f"--x has non-finite entries: {text}")
     return vec
 
 

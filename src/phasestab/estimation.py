@@ -8,7 +8,7 @@ All randomness comes from Philox counter-based streams keyed by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -27,6 +27,8 @@ class NoiseModel:
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValidationError(f"sigma must be positive, got {self.sigma!r}")
+        if not np.isfinite(self.sigma):
+            raise ValidationError(f"sigma must be finite, got {self.sigma!r}")
 
 
 @dataclass
@@ -84,6 +86,8 @@ def fisher_info(frame: Frame, x: np.ndarray, sigma: float) -> np.ndarray:
     """Fisher information I(x) = (4 / sigma^2) R(x) for the squared model."""
     if not sigma > 0:
         raise ValidationError("sigma must be positive")
+    if not np.isfinite(sigma):
+        raise ValidationError(f"sigma must be finite, got {sigma!r}")
     x = _check_vector(frame, x)
     if not np.any(x):
         raise ValidationError("Fisher information needs x != 0")
@@ -137,12 +141,14 @@ def crlb(
     }
 
 
+LS_MAX_ITERS = 500   # L-BFGS iterations per start
+LS_TOL = 1e-14       # L-BFGS relative objective tolerance
+
+
 @dataclass
 class LSConfig:
     restarts: int = 32
-    max_iters: int = 500
     seed: int = 0
-    tol: float = 1e-14
 
 
 def _ls_objective(frame: Frame, y: np.ndarray):
@@ -192,7 +198,7 @@ def ls_estimate(frame: Frame, y: np.ndarray, cfg: LSConfig | None = None) -> np.
             x0,
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": cfg.max_iters, "ftol": cfg.tol, "gtol": 1e-12},
+            options={"maxiter": LS_MAX_ITERS, "ftol": LS_TOL, "gtol": 1e-12},
         )
         if res.fun < best_val:
             best_x, best_val = res.x, float(res.fun)
@@ -226,13 +232,8 @@ def mse_monte_carlo(
     rows = []
     for trial in range(trials):
         y = simulate_measurements(frame, x, noise, seed, trial)
-        trial_cfg = LSConfig(
-            restarts=ls_cfg.restarts,
-            max_iters=ls_cfg.max_iters,
-            seed=seed ^ (trial * 0x9E3779B97F4A7C15 & 0x7FFFFFFFFFFFFFFF),
-            tol=ls_cfg.tol,
-        )
-        x_hat = ls_estimate(frame, y, trial_cfg)
+        trial_seed = seed ^ (trial * 0x9E3779B97F4A7C15 & 0x7FFFFFFFFFFFFFFF)
+        x_hat = ls_estimate(frame, y, replace(ls_cfg, seed=trial_seed))
         d = dist_d(x_hat, x)
         residual = float(np.linalg.norm(y - analysis_map_sq(frame, x_hat)))
         errors[trial] = d**2

@@ -1,4 +1,4 @@
-"""Frames, subset spectra, the magnitude analysis maps and the two metrics on R^n/±.
+"""Frames, the magnitude analysis maps and the two metrics on R^n/±.
 
 A frame is stored as its n x m matrix F = [f_1, ..., f_m] with the frame
 vectors as columns.  Everything in this module is a pure function of its
@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,16 +114,6 @@ class SubsetMask:
         return bool(self.bits >> i & 1)
 
 
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Spectrum of F_S F_S^T: eigenvalues (non-increasing), A[S] and sigma_n(F_S)."""
-
-    eigenvalues: np.ndarray
-    lower: float
-    sigma_min: float
-    mask: SubsetMask | None = field(default=None)
-
-
 def sym_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a real symmetric matrix.
 
@@ -166,34 +156,6 @@ def frame_bounds(frame: Frame) -> tuple[float, float]:
     if -EIG_CLAMP_RTOL * scale <= a < 0.0:
         a = 0.0
     return a, float(evals[0])
-
-
-def subset_spectrum(frame: Frame, mask: SubsetMask) -> SpectralSummary:
-    """Spectrum of F_S F_S^T; the empty subset yields A[S] = sigma_min = 0."""
-    if mask.m != frame.count:
-        raise DimensionMismatchError(
-            f"mask over {mask.m} indices does not match frame with m={frame.count}"
-        )
-    if mask.size() == 0:
-        zeros = np.zeros(frame.dim)
-        return SpectralSummary(eigenvalues=zeros, lower=0.0, sigma_min=0.0, mask=mask)
-    evals, _ = sym_eig(gram(frame, mask))
-    scale = float(evals[0]) if evals[0] > 0 else 1.0
-    lower = float(evals[-1])
-    if lower < 0:
-        if lower < -EIG_CLAMP_RTOL * scale:
-            raise ConvergenceError(
-                f"Gram matrix eigenvalue {lower!r} below roundoff floor for scale {scale!r}"
-            )
-        lower = 0.0
-    return SpectralSummary(
-        eigenvalues=evals, lower=lower, sigma_min=float(np.sqrt(lower)), mask=mask
-    )
-
-
-def subset_lower_bound(frame: Frame, mask: SubsetMask) -> float:
-    """A[S] = lambda_min(F_S F_S^T), clamped at 0."""
-    return subset_spectrum(frame, mask).lower
 
 
 def _check_vector(frame: Frame, x: np.ndarray) -> np.ndarray:

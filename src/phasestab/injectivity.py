@@ -7,7 +7,6 @@ side by side and refuses to return if they disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -19,7 +18,7 @@ from .frame_core import (
     SubsetMask,
     _check_vector,
     gram,
-    matrix_rank,
+    matrix_rank,  # noqa: F401 -- unused; perfbench's tests read the name here
     sym_eig,
 )
 
@@ -177,27 +176,6 @@ def _a0_polar_grid(frame: Frame) -> tuple[float, np.ndarray, np.ndarray]:
     return val, x_star, u_star
 
 
-def _structured_starts(frame: Frame) -> list[np.ndarray]:
-    """Null vectors of F_S^T for small subsets S: candidate minimizers where
-    lambda_min(R(x)) can vanish exactly."""
-    n, m = frame.dim, frame.count
-    starts: list[np.ndarray] = []
-    if 2**m <= STRUCTURED_BUDGET:
-        for bits in range(1, 1 << m):
-            cols = [i for i in range(m) if bits >> i & 1]
-            sub = frame.matrix[:, cols]
-            if matrix_rank(sub) < n:
-                # unit vector orthogonal to every column in S
-                _, _, vt = np.linalg.svd(sub.T, full_matrices=True)
-                starts.append(vt[-1])
-    else:
-        for subset in combinations(range(m), n - 1):
-            sub = frame.matrix[:, list(subset)]
-            _, _, vt = np.linalg.svd(sub.T, full_matrices=True)
-            starts.append(vt[-1])
-    return starts
-
-
 def _a0_descent(frame: Frame, x0: np.ndarray, cfg: A0Config) -> tuple[float, np.ndarray, np.ndarray]:
     """Alternating eigen minimization then projected gradient polish from x0."""
     x = x0 / np.linalg.norm(x0)
@@ -240,7 +218,8 @@ def a0(frame: Frame, cfg: A0Config | None = None) -> tuple[float, np.ndarray, np
 
     rng = np.random.default_rng(np.random.Philox(key=[cfg.seed, 0x61_30]))
     starts: list[np.ndarray] = list(np.eye(frame.dim))
-    starts.extend(_structured_starts(frame))
+    # null vectors of F_S^T for small S, where lambda_min(R(x)) can vanish
+    starts.extend(subsets.kernel_starts(frame.matrix, 2**frame.count <= STRUCTURED_BUDGET))
     evals, evecs = sym_eig(gram(frame))
     starts.append(evecs[:, -1])
     for _ in range(cfg.restarts):

@@ -28,8 +28,7 @@ from .frame_core import (
     dist_d,
     dist_d1,
     gram,
-    matrix_rank,
-    subset_lower_bound,
+    matrix_rank,  # noqa: F401 -- unused; perfbench's tests read the name here
     sym_eig,
     frame_bounds,
 )
@@ -118,9 +117,9 @@ def delta(
     Exact mode enumerates all 2^(m-1) partitions S < 2^(m-1) in chunks of
     bounded memory and returns the first minimum in bitmask order
     (`subsets.delta_exact`; the budget bounds time, not memory).  Sampled
-    mode minimizes over seeded random subsets, thin subsets, and a
-    Hamming-distance-1 local descent from the incumbent; the result is then
-    an upper bound (exact=False).
+    mode scores seeded random and thin subsets in one `subsets.partition_bounds`
+    call, then descends by Hamming-distance-1 flips, one call each; the result
+    is then an upper bound (exact=False).
     """
     n, m = frame.dim, frame.count
     full = (1 << m) - 1
@@ -134,45 +133,32 @@ def delta(
 
     rng = np.random.default_rng(np.random.Philox(key=[seed, 0xDE_17A]))
 
-    def value(bits: int) -> float:
-        s = SubsetMask(bits, m)
-        return subset_lower_bound(frame, s) + subset_lower_bound(frame, s.complement())
-
     candidates: set[int] = {0}
     # Thin subsets: singletons and complements of (n-1)-subsets of nearby sizes.
     candidates.update(1 << i for i in range(m))
     for _ in range(budget // 4):
         size = int(rng.integers(max(1, n - 1), n + 1))
         idx = rng.choice(m, size=min(size, m), replace=False)
-        bits = 0
-        for i in idx:
-            bits |= 1 << int(i)
-        candidates.add(full ^ bits)
+        candidates.add(full ^ sum(1 << int(i) for i in idx))
     for _ in range(2 * budget):
         if len(candidates) >= budget:
             break
         draw = np.nonzero(rng.random(m) < 0.5)[0]
-        bits = 0
-        for i in draw:
-            bits |= 1 << int(i)
-        candidates.add(bits)
+        candidates.add(sum(1 << int(i) for i in draw))
 
-    best_bits, best_val = None, np.inf
-    for bits in sorted(candidates):
-        v = value(bits)
-        if v < best_val - 1e-15 or best_bits is None:
-            best_bits, best_val = bits, v
-    # Local descent: flip one index at a time while it improves.
+    masks = sorted(candidates)
+    best = subsets.SlackMin()
+    best.scan(subsets.partition_bounds(frame.matrix, masks), masks)
+    # Local descent: flip one index at a time, keeping each flip that
+    # improves by more than the slack (first improvement, in index order).
     for _ in range(20):
-        improved = False
+        start = best.key
         for i in range(m):
-            cand = best_bits ^ (1 << i)
-            v = value(cand)
-            if v < best_val - 1e-15:
-                best_bits, best_val, improved = cand, v, True
-        if not improved:
+            cand = best.key ^ (1 << i)
+            best.scan(subsets.partition_bounds(frame.matrix, [cand]), [cand])
+        if best.key == start:  # values only fall, so no flip improved
             break
-    return float(np.sqrt(best_val)), SubsetMask(best_bits, m), False
+    return float(np.sqrt(best.value)), SubsetMask(best.key, m), False
 
 
 def omega(
@@ -405,6 +391,13 @@ class QepsConfig:
     seed: int = 0
 
 
+def _check_eps(eps: float) -> None:
+    if eps <= 0:
+        raise ValidationError("eps must be positive")
+    if not np.isfinite(eps):
+        raise ValidationError(f"eps must be finite, got {eps!r}")
+
+
 def _min_eigvec(mat: np.ndarray) -> np.ndarray:
     evals, evecs = sym_eig(mat)
     return evecs[:, -1]
@@ -420,11 +413,8 @@ def _structured_directions(frame: Frame, analysis: FrameAnalysis) -> list[np.nda
     s_omega = analysis.omega[1]
     comp = s_omega.complement()
     if comp.size() > 0:
-        sub = frame.columns_for(comp)
-        if matrix_rank(sub) < frame.dim:
-            # kernel of F_{S^c}^T: direction invisible to the deficient block
-            _, _, vt = np.linalg.svd(sub.T, full_matrices=True)
-            dirs.append(vt[-1])
+        # kernel of F_{S^c}^T: direction invisible to the deficient block
+        dirs.append(subsets.kernel_vectors(frame.matrix, np.array([comp.indices()]))[0])
     dirs.append(_min_eigvec(gram(frame, s_omega)))
     return dirs
 
@@ -487,8 +477,7 @@ def q_eps_estimate(
     """
     cfg = cfg or QepsConfig()
     x = _check_vector(frame, x)
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    _check_eps(eps)
     if not np.any(x):
         raise ValidationError("x must be nonzero")
 
@@ -564,8 +553,7 @@ def q_eps_brackets(frame: Frame, eps: float, analysis: FrameAnalysis | None = No
     exact 1/omega when eps < tau; Delta = 0 reports an unbounded measure.
     A sampled Delta is no upper bracket: without exact Delta and omega this
     raises BudgetExceededError."""
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    _check_eps(eps)
     analysis = analysis or FrameAnalysis(frame, sample_budget=None)
     delta_val, _, delta_exact = analysis.delta
     omega_val, _, omega_exact = analysis.omega
@@ -596,9 +584,7 @@ def omega_witness_point(frame: Frame, eps: float) -> np.ndarray:
     comp = s_omega.complement()
     if comp.size() == 0:
         raise NotAFrameError("omega subset has empty complement")
-    sub = frame.columns_for(comp)
-    _, _, vt = np.linalg.svd(sub.T, full_matrices=True)
-    v2 = vt[-1]
+    v2 = subsets.kernel_vectors(frame.matrix, np.array([comp.indices()]))[0]
     t = min(eps / omega_val, 1.0)
     w1 = t * v1
     # solve ||w1 + s v2|| = 2 for s >= 1

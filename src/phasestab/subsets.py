@@ -1,21 +1,25 @@
-"""Batched subset-spectral engine behind the exact subset kernels.
+"""Batched subset-spectral engine: the one place that enumerates or factors
+column subsets S of a frame F.
 
-Every exact kernel (full spark, complement property, tau, omega, Delta and
-the minimal-redundancy study) is an existence check or a minimum over column
-subsets S of a frame F.  This module enumerates the subsets in chunks, as
-stacked index arrays, and answers two questions per subset with one batched
-LAPACK call per chunk:
+It serves full spark, the complement property, tau, omega and Delta (exact
+and sampled), the minimal-redundancy study, a0's structured starts and the
+kernel directions of Q_eps.  Subsets come in chunks of stacked index or
+membership rows, with one batched LAPACK call per chunk:
 
 - Rank verdict: F_S spans R^n when sigma_n(F_S) > RANK_RTOL * sigma_1(F_S),
   the rule of `frame_core.matrix_rank`, from a batched SVD of the n x |S|
   blocks.  Rank is never read off Gram eigenvalues: their rounding noise is
   about eps * lambda_max, far above RANK_RTOL**2 * lambda_max.
 - Spectrum: tau takes sigma_n(F_S) from that same SVD, accurate to about
-  eps * ||F||.  omega and Delta take lambda_min(F_S F_S^T) by `eigvalsh` of
-  the stacked Grams, and sigma_n(F_S) = sqrt(max(lambda_min, 0)).  This
-  Gram route carries an absolute error of about m * eps * ||F||^2 in
-  lambda, i.e. m * eps * ||F||^2 / sigma in sigma: up to 2.5e-10 against
-  the SVD values on seeded 9 x 17 Gaussian frames, where sigma ~ 1e-6.
+  eps * ||F||.  omega and Delta take sigma_n(F_S) = sqrt(max(lambda_min, 0))
+  from the stacked Grams F_S F_S^T, with an absolute error of about
+  m * eps * ||F||^2 / sigma: up to 2.5e-10 against the SVD values on seeded
+  9 x 17 Gaussian frames, where sigma ~ 1e-6.  omega and exact Delta read
+  `eigvalsh`, sampled Delta `eigh`: each keeps the routine of its old
+  one-subset loop, since the two round differently and only the same
+  routine, batched, gives the loop's values bit for bit.
+- Kernel vectors (a0's starts, Q_eps's directions): the last right singular
+  vector of F_S^T from its full SVD.
 
 Enumeration orders and tie-breaks (the witnesses depend on them):
 
@@ -23,9 +27,9 @@ Enumeration orders and tie-breaks (the witnesses depend on them):
   (lexicographic); `first_deficient` returns the first deficient n-subset.
 - Bitmask ranges come in increasing order; `first_violating_partition`
   returns the smallest violating bitmask below 2^(m-1).
-- omega keeps the first subset in enumeration order and replaces it only by
-  a value below the incumbent minus OMEGA_SLACK (1e-15).
-- Delta keeps the first minimum over bitmasks S < 2^(m-1).  Its Grams add
+- omega and sampled Delta keep the first subset in enumeration order and
+  replace it only by a value below the incumbent minus OMEGA_SLACK (1e-15).
+- Exact Delta keeps the first minimum over bitmasks S < 2^(m-1).  Its Grams add
   the outer products f_j f_j^T from the highest index j down to the lowest.
 
 Memory: chunks are sized so that their index arrays, stacked blocks and
@@ -43,7 +47,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .frame_core import RANK_RTOL
+from .errors import ConvergenceError
+from .frame_core import EIG_CLAMP_RTOL, RANK_RTOL
 
 CHUNK_BYTES = 1 << 22        # working set of one chunk (4 MiB)
 FIRST_CHUNK = 64             # subsets in the first chunk of an enumeration
@@ -73,7 +78,7 @@ def chunked(rows: Iterable, k: int, n: int, cols: int | None = None) -> Iterator
 
 
 def bit_ranges(stop: int, n: int, m: int) -> Iterator[np.ndarray]:
-    """Bitmasks 0 .. stop-1 in increasing order, as int64 chunks."""
+    """0 .. stop-1 (bitmasks or row positions) in increasing order, as int64 chunks."""
     lo = 0
     for size in _chunk_sizes(n, m):
         if lo >= stop:
@@ -89,9 +94,14 @@ def _stack(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _by_size(bits: np.ndarray, m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(positions, column indices) of the bitmasks in bits, one group per
+    """(positions, column indices) of the int64 bitmasks in bits, one group
+    per subset size; each row of column indices is increasing."""
+    return _by_rows((bits[:, None] >> np.arange(m)) & 1 == 1)
+
+
+def _by_rows(member: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(positions, column indices) of the membership rows, one group per
     subset size; each row of column indices is increasing."""
-    member = (bits[:, None] >> np.arange(m)) & 1 == 1
     sizes = member.sum(axis=1)
     for k in np.unique(sizes):
         pos = np.flatnonzero(sizes == k)
@@ -129,9 +139,50 @@ def sigma_n(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(lam, 0.0))
 
 
-class _SlackMin:
-    """Running minimum with omega's tie-break: the first value is taken, and
-    a later value replaces the incumbent only when below it by OMEGA_SLACK.
+def kernel_vectors(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Per row of idx (at least one column), the last right singular vector
+    of F_S^T from its full SVD: a unit vector orthogonal to every column of
+    F_S when F_S does not span R^n."""
+    return np.linalg.svd(_stack(mat, idx).transpose(0, 2, 1), full_matrices=True)[2][:, -1]
+
+
+def lower_bounds(mat: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """A[S] = lambda_min(F_S F_S^T) per membership row (0 for the empty set).
+    Negative values count as 0 above the roundoff floor
+    -EIG_CLAMP_RTOL * lambda_max; below it ConvergenceError is raised."""
+    out = np.zeros(len(member))
+    for pos, idx in _by_rows(member):
+        if idx.shape[1] == 0:
+            continue
+        blocks = _stack(mat, idx)
+        # eigh, not eigvalsh: batched eigh gives the values of one eigh per
+        # Gram bit for bit; eigvalsh rounds differently, which near lambda = 0
+        # is a large relative change and can move the witness.
+        lam = np.linalg.eigh(blocks @ blocks.transpose(0, 2, 1))[0]
+        low, scale = lam[:, 0], np.where(lam[:, -1] > 0, lam[:, -1], 1.0)
+        below = low < -EIG_CLAMP_RTOL * scale
+        if below.any():
+            i = int(np.argmax(below))
+            raise ConvergenceError(f"Gram matrix eigenvalue {float(low[i])!r} below roundoff floor")
+        out[pos] = np.where(low < 0, 0.0, low)
+    return out
+
+
+def partition_bounds(mat: np.ndarray, masks: list[int]) -> np.ndarray:
+    """A[S] + A[S^c] per bitmask S in masks, in chunks.  The bitmasks are
+    Python ints, made into membership rows, so any m works."""
+    n, m = mat.shape
+    member = np.array([[b >> j & 1 for j in range(m)] for b in masks], dtype=bool)
+    out = np.empty(len(masks))
+    for pos in bit_ranges(len(masks), n, m):
+        out[pos] = lower_bounds(mat, member[pos]) + lower_bounds(mat, ~member[pos])
+    return out
+
+
+class SlackMin:
+    """Running minimum with omega's and sampled Delta's tie-break: the first
+    value is taken, and a later value replaces the incumbent only when below
+    it by OMEGA_SLACK.
     `key` is the incumbent's entry of the keys passed along with the values."""
 
     def __init__(self):
@@ -192,12 +243,32 @@ def tau(mat: np.ndarray) -> float:
     return best
 
 
+def kernel_starts(mat: np.ndarray, all_subsets: bool) -> np.ndarray:
+    """(N, n) kernel vectors of F_S^T (see `kernel_vectors`): with
+    all_subsets, for every nonempty S that does not span R^n, in increasing
+    bitmask order (needs a small m); else for every (n-1)-subset S, in
+    combinations order."""
+    n, m = mat.shape
+    out = [np.empty((0, n))]
+    if all_subsets:
+        for bits in bit_ranges(1 << m, n, m):
+            bits = bits[(bits > 0) & ~spans(mat, bits)]
+            vecs = np.empty((len(bits), n))
+            for pos, idx in _by_size(bits, m):
+                vecs[pos] = kernel_vectors(mat, idx)
+            out.append(vecs)
+    else:
+        for idx in chunked(combinations(range(m), n - 1), n - 1, n):
+            out.append(kernel_vectors(mat, idx))
+    return np.concatenate(out)
+
+
 def omega_complements(mat: np.ndarray, rows: Iterable) -> tuple[float, int]:
     """(min, witness bitmask) of sigma_n(F_S) over the complements S of the
     (n-1)-element index rows, in order, with omega's tie-break.  Bitmasks
     are Python ints, so any m works."""
     n, m = mat.shape
-    best = _SlackMin()
+    best = SlackMin()
     for comp in chunked(rows, n - 1, n, cols=m - n + 1):
         keep = np.ones((len(comp), m), dtype=bool)
         keep[np.arange(len(comp))[:, None], comp] = False
@@ -218,7 +289,7 @@ def omega_all_subsets(mat: np.ndarray) -> tuple[float, int] | None:
     not span R^n, in increasing bitmask order; None when there is none."""
     n, m = mat.shape
     full = (1 << m) - 1
-    best = _SlackMin()
+    best = SlackMin()
     for bits in bit_ranges(1 << m, n, m):
         bits = bits[~spans(mat, full ^ bits)]
         values = np.empty(len(bits))

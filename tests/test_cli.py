@@ -129,6 +129,26 @@ class TestStability:
         assert out == ""
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stability", "--fixture", "mb3", "--x", "nan,1", "--eps", "0.1"],
+            ["stability", "--fixture", "mb3", "--x", "0.6,0.8", "--eps", "nan"],
+            ["stability", "--fixture", "mb3", "--x", "0.6,0.8", "--eps", "inf"],
+            ["crlb", "--fixture", "mb3", "--x", "inf,0", "--sigma", "0.1"],
+            ["simulate", "--fixture", "mb3", "--x", "nan,0.8", "--sigma", "0.01", "--trials", "5"],
+        ],
+        ids=["stability-x", "stability-eps-nan", "stability-eps-inf", "crlb-x", "simulate-x"],
+    )
+    def test_exit_2(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
 class TestCrlb:
     def test_schema_and_values(self, capsys):
         code, out = run_cli(

@@ -27,10 +27,9 @@ from phasestab import (
     mercedes_benz_frame,
     null_vector,
     standard_basis_frame,
-    subset_lower_bound,
-    subset_spectrum,
     sym_eig,
 )
+from phasestab import subsets
 
 RNG = np.random.default_rng(7)
 
@@ -121,18 +120,20 @@ class TestSymEig:
 class TestSubsetSpectrum:
     def test_against_svd(self):
         fr = Frame(RNG.standard_normal((3, 7)))
+        member = np.array([[b >> j & 1 for j in range(7)] for b in range(1 << 7)], dtype=bool)
+        lows = subsets.lower_bounds(fr.matrix, member)
         for bits in range(1 << 7):
-            mask = SubsetMask(bits, 7)
-            summ = subset_spectrum(fr, mask)
-            expect = oracles.subset_sigma_n(fr.matrix, mask.indices()) ** 2
-            assert summ.lower == pytest.approx(expect, abs=1e-10)
+            expect = oracles.subset_sigma_n(fr.matrix, SubsetMask(bits, 7).indices()) ** 2
+            assert lows[bits] == pytest.approx(expect, abs=1e-10)
             # sqrt amplifies eigenvalue roundoff near zero: abs tol sqrt(1e-14)
-            assert summ.sigma_min == pytest.approx(math.sqrt(expect), abs=1e-7)
-            assert subset_lower_bound(fr, mask) == pytest.approx(expect, abs=1e-10)
+            assert math.sqrt(lows[bits]) == pytest.approx(math.sqrt(expect), abs=1e-7)
+        # the complement of bitmask b is 127 - b
+        pairs = subsets.partition_bounds(fr.matrix, list(range(1 << 7)))
+        np.testing.assert_array_equal(pairs, lows + lows[::-1])
 
     def test_empty_subset_is_zero(self):
         fr = mercedes_benz_frame()
-        assert subset_lower_bound(fr, SubsetMask.empty(3)) == 0.0
+        assert subsets.lower_bounds(fr.matrix, np.zeros((1, 3), dtype=bool))[0] == 0.0
 
 
 class TestMaps:

@@ -1,9 +1,11 @@
 """The batched subset engine against SVD brute force, on random,
-duplicated-column and near-degenerate frames (m <= 10)."""
+duplicated-column and near-degenerate frames (m <= 10), and against the
+one-subset-at-a-time loops it replaced."""
 
 import itertools
 import math
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -13,15 +15,19 @@ from hypothesis import strategies as st
 import oracles
 from phasestab import (
     Frame,
+    a0,
     complement_property,
     delta,
     full_spark,
+    load_frame,
     matrix_rank,
     omega,
+    sym_eig,
     tau,
 )
-from phasestab import subsets
-from phasestab.errors import NotAFrameError
+from phasestab import frame_core, injectivity, robustness, subsets
+from phasestab.cli import FIXTURES
+from phasestab.errors import ConvergenceError, NotAFrameError
 
 EPS = np.finfo(float).eps
 
@@ -311,3 +317,162 @@ class TestAgainstLoops:
             tracemalloc.stop()
         # one 2^17 x 9 x 9 stack alone would take 85 MB
         assert peak < subsets.CHUNK_BYTES
+
+
+def _fixture(name):
+    with resources.as_file(resources.files("phasestab.fixtures") / f"{name}.json") as path:
+        return load_frame(str(path)).matrix
+
+
+def _starts_loop(mat):
+    """a0's structured starts one subset at a time: a matrix_rank verdict,
+    then the full SVD of F_S^T."""
+    n, m = mat.shape
+    if 2**m <= injectivity.STRUCTURED_BUDGET:
+        rows = (
+            list(indices(bits, m))
+            for bits in range(1, 1 << m)
+            if matrix_rank(mat[:, list(indices(bits, m))]) < n
+        )
+    else:
+        rows = (list(S) for S in itertools.combinations(range(m), n - 1))
+    starts = [np.linalg.svd(mat[:, cols].T, full_matrices=True)[2][-1] for cols in rows]
+    return np.array(starts).reshape(-1, n)
+
+
+def _engine_starts(mat):
+    return subsets.kernel_starts(mat, 2 ** mat.shape[1] <= injectivity.STRUCTURED_BUDGET)
+
+
+def _lower_bound_loop(mat, bits):
+    """A[S] = lambda_min(F_S F_S^T) of one subset by `sym_eig`, clamped at 0
+    above the roundoff floor (the scorer sampled Delta used per subset)."""
+    cols = list(indices(bits, mat.shape[1]))
+    if not cols:
+        return 0.0
+    evals, _ = sym_eig(mat[:, cols] @ mat[:, cols].T)
+    scale = float(evals[0]) if evals[0] > 0 else 1.0
+    lower = float(evals[-1])
+    if lower < 0:
+        if lower < -frame_core.EIG_CLAMP_RTOL * scale:
+            raise ConvergenceError("Gram matrix eigenvalue below roundoff floor")
+        lower = 0.0
+    return lower
+
+
+def _delta_sampled_loop(mat, budget, seed):
+    """Sampled Delta scoring one candidate and one flip at a time."""
+    n, m = mat.shape
+    full = (1 << m) - 1
+    rng = np.random.default_rng(np.random.Philox(key=[seed, 0xDE_17A]))
+
+    def value(bits):
+        return _lower_bound_loop(mat, bits) + _lower_bound_loop(mat, full ^ bits)
+
+    candidates = {0}
+    candidates.update(1 << i for i in range(m))
+    for _ in range(budget // 4):
+        size = int(rng.integers(max(1, n - 1), n + 1))
+        idx = rng.choice(m, size=min(size, m), replace=False)
+        bits = 0
+        for i in idx:
+            bits |= 1 << int(i)
+        candidates.add(full ^ bits)
+    for _ in range(2 * budget):
+        if len(candidates) >= budget:
+            break
+        bits = 0
+        for i in np.nonzero(rng.random(m) < 0.5)[0]:
+            bits |= 1 << int(i)
+        candidates.add(bits)
+
+    best_bits, best_val = None, np.inf
+    for bits in sorted(candidates):
+        v = value(bits)
+        if v < best_val - 1e-15 or best_bits is None:
+            best_bits, best_val = bits, v
+    for _ in range(20):
+        improved = False
+        for i in range(m):
+            cand = best_bits ^ (1 << i)
+            v = value(cand)
+            if v < best_val - 1e-15:
+                best_bits, best_val, improved = cand, v, True
+        if not improved:
+            break
+    return float(np.sqrt(best_val)), best_bits
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def start_frames(draw):
+    """n in 2..4, m on both sides of the 2^m <= 4096 switch (m <= 12 or
+    13 <= m <= 15), Gaussian or with one to three columns repeated up to a
+    scale."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.sampled_from([n + 1, 7, 11, 12, 13, 15]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = rng.standard_normal((n, m))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = rng.choice(m, size=2, replace=False)
+        mat[:, j] = draw(st.sampled_from([1.0, -1.0, 2.5])) * mat[:, i]
+    return mat
+
+
+class TestEngineAgainstLoops:
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_structured_starts_on_fixtures(self, name):
+        mat = _fixture(name)
+        assert _same_bits(_engine_starts(mat), _starts_loop(mat))
+
+    @given(start_frames())
+    @settings(max_examples=25, deadline=None)
+    def test_structured_starts_bit_identical(self, mat):
+        assert _same_bits(_engine_starts(mat), _starts_loop(mat))
+
+    def test_a0_makes_no_rank_call(self, monkeypatch):
+        calls = []
+        original = frame_core.matrix_rank
+
+        def counted(mat):
+            calls.append(1)
+            return original(mat)
+
+        for module in (frame_core, injectivity, robustness):
+            monkeypatch.setattr(module, "matrix_rank", counted)
+        a0(Frame(_fixture("gauss_4x11")))
+        assert calls == []
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_sampled_delta_on_fixtures(self, name):
+        mat = _fixture(name)
+        value, witness, exact = delta(Frame(mat), mode="sampled", budget=32, seed=1)
+        assert not exact
+        assert (value, witness.bits) == _delta_sampled_loop(mat, 32, 1)
+
+    @given(frames(), st.sampled_from([8, 40, 128]), st.integers(0, 5))
+    @settings(max_examples=30, deadline=None)
+    def test_sampled_delta_bit_identical(self, case, budget, seed):
+        _, mat = case
+        value, witness, _ = delta(Frame(mat), mode="sampled", budget=budget, seed=seed)
+        assert (value, witness.bits) == _delta_sampled_loop(mat, budget, seed)
+
+    def test_sampled_delta_wide_frame(self):
+        # m = 72: bitmasks beyond int64, scored as membership rows
+        mat = np.random.default_rng(72).standard_normal((8, 72)) / math.sqrt(8)
+        value, witness, _ = delta(Frame(mat), mode="sampled", budget=64, seed=2)
+        assert (value, witness.bits) == _delta_sampled_loop(mat, 64, 2)
+
+    def test_roundoff_floor_raises(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def shifted(grams):
+            lam, vecs = eigh(grams)
+            return lam - 1e-9 * lam[..., -1:], vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        with pytest.raises(ConvergenceError):
+            subsets.partition_bounds(np.eye(2), [1])

@@ -52,6 +52,16 @@ def _parse_vector(text: str, n: int) -> np.ndarray:
     return vec
 
 
+def _parse_n_list(text: str) -> list[int]:
+    try:
+        n_list = [int(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"--n-list: not a comma-separated integer list ({exc})") from exc
+    if min(n_list) < 1:
+        raise ValidationError(f"--n-list entries must be >= 1, got {text}")
+    return n_list
+
+
 def _emit(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w") as fh:
@@ -145,7 +155,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_random_study(args) -> int:
-    n_list = [int(v) for v in args.n_list.split(",")]
+    n_list = _parse_n_list(args.n_list)
     if args.study == "minimal":
         result = random_frames.minimal_redundancy_study(n_list, args.trials, args.seed)
     elif args.study == "tau":

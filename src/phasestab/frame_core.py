@@ -115,27 +115,39 @@ class SubsetMask:
 
 
 def sym_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a real symmetric matrix.
+    """Eigendecomposition of a real symmetric matrix or of a stack (k, n, n).
 
     Returns eigenvalues sorted non-increasing and the matching orthonormal
-    eigenvectors as columns.  Rejects non-symmetric input; wraps LAPACK
-    non-convergence in ConvergenceError with the symmetry residual attached.
+    eigenvectors as columns: (n,) and (n, n), or (k, n) and (k, n, n) for a
+    stack.  Rejects non-symmetric input, each matrix of a stack against its
+    own scale; wraps LAPACK non-convergence in ConvergenceError.  A stack
+    goes through one batched `eigh` (LAPACK runs on each matrix in turn) and
+    each row is argsorted alone, so slice i equals sym_eig(mat[i]) bit for
+    bit; the a0 and Lambda_F searches make one such call per lockstep step.
     """
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim not in (2, 3) or mat.shape[-2] != mat.shape[-1]:
         raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
-    scale = float(np.max(np.abs(mat))) or 1.0
-    asym = float(np.max(np.abs(mat - mat.T)))
-    if asym > 1e-12 * scale:
+    scale = np.max(np.abs(mat), axis=(-2, -1))
+    scale = np.where(scale == 0.0, 1.0, scale)
+    asym = np.max(np.abs(mat - np.swapaxes(mat, -2, -1)), axis=(-2, -1))
+    bad = np.flatnonzero(asym > 1e-12 * scale)
+    if bad.size:
+        i = bad[0]
+        which = "matrix" if mat.ndim == 2 else f"matrix {i} of the stack"
         raise ValidationError(
-            f"matrix is not symmetric: max |M - M^T| = {asym:.3e} vs scale {scale:.3e}"
+            f"{which} is not symmetric: max |M - M^T| = {asym.flat[i]:.3e} "
+            f"vs scale {scale.flat[i]:.3e}"
         )
     try:
         evals, evecs = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver did not converge: {exc}") from exc
-    order = np.argsort(evals)[::-1]
-    return evals[order], evecs[:, order]
+    if mat.ndim == 2:
+        order = np.argsort(evals)[::-1]
+        return evals[order], evecs[:, order]
+    order = np.argsort(evals, axis=-1)[:, ::-1]
+    return np.take_along_axis(evals, order, -1), np.take_along_axis(evecs, order[:, None, :], -1)
 
 
 def gram(frame: Frame, mask: SubsetMask | None = None) -> np.ndarray:

@@ -111,9 +111,23 @@ def r_matrix(frame: Frame, x: np.ndarray) -> np.ndarray:
     return (frame.matrix * coeffs) @ frame.matrix.T
 
 
-def _lambda_min_r(frame: Frame, x: np.ndarray) -> tuple[float, np.ndarray]:
-    evals, evecs = sym_eig(r_matrix(frame, x))
-    return float(max(evals[-1], 0.0)), evecs[:, -1]
+def _matvecs(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """a @ x for each row x of xs (k, n), by one gemv per row as a 2-d
+    `a @ x` does.  Strided rows (eigenvector columns) would leave BLAS for
+    numpy's own loop and change the last bits, hence the copy; `xs @ a.T`,
+    `einsum` and `(a @ xs.T).T` round differently too."""
+    return np.matmul(a, np.ascontiguousarray(xs)[:, :, None])[:, :, 0]
+
+
+def _lambda_min_r(mat: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lambda_min(R(x)) clamped at 0 and its eigenvector for each row of xs,
+    by one batched eigensolve."""
+    # the stacked products round as `(mat * coeffs) @ mat.T` does, slice by slice
+    stack = (mat[None] * (_matvecs(mat.T, xs) ** 2)[:, None, :]) @ mat.T
+    evals, evecs = sym_eig(stack)
+    lam = evals[:, -1]
+    # not np.maximum: this keeps -0.0 and NaN as max(lam, 0.0) does
+    return np.where(0.0 > lam, 0.0, lam), evecs[:, :, -1]
 
 
 def _polar_argmin(objective) -> np.ndarray:
@@ -128,32 +142,67 @@ def _polar_argmin(objective) -> np.ndarray:
     return np.array([np.cos(center), np.sin(center)])
 
 
-def _sphere_descent(f, grad, x, val, extra, max_iters: int, tol: float):
-    """Descent of f on the unit sphere from unit x, (val, extra) = f(x): each
-    round backtracks along the projected grad(x, extra) over 40 halvings of
-    t until the Armijo test (constant 0.25) holds, then starts the next
-    round at min(2t, 1).  Stops after max_iters rounds, below a gradient
-    norm of tol, or when no t passes; returns (val, x, extra) there."""
-    step = 1.0
+def _unit_rows(xs: np.ndarray) -> np.ndarray:
+    """The nonzero rows of xs scaled to unit length, in order."""
+    # np.vecdot is the per-row np.dot that np.linalg.norm takes the root of;
+    # (xs * xs).sum(1), einsum and norm(axis=1) round differently
+    norms = np.sqrt(np.vecdot(xs, xs))
+    keep = norms != 0
+    return xs[keep] / norms[keep, None]
+
+
+def _retire_after_zero(vals: np.ndarray, live: np.ndarray) -> None:
+    """A start at 0.0 is final, since no accepted step goes below 0, and a
+    one-start-at-a-time loop would have stopped there: drop it and every
+    later start from the live set.  Earlier starts keep running."""
+    zero = np.flatnonzero(vals == 0.0)
+    if zero.size:
+        live[zero[0]:] = False
+
+
+def _sphere_descent(f, grad, xs, vals, extras, live, max_iters: int, tol: float,
+                    zero_is_final: bool = False) -> None:
+    """Descent of f on the unit sphere from the live unit rows of xs, all in
+    lockstep, updating xs, vals and extras in place; (vals, extras) = f(xs)
+    row by row, and extras may be None.  Each round takes the projected
+    grad(x, extra) of every live row, then backtracks along it over 40
+    halvings of t until the Armijo test (constant 0.25) holds, and starts
+    that row's next round at min(2t, 1).  Each halving is one call of f on
+    the rows still backtracking.  A row stops after max_iters rounds, below
+    a gradient norm of tol, or when no t passes.  Row by row this is the
+    same arithmetic as a descent of one start: np.vecdot stands for np.dot
+    and sqrt(vecdot(v, v)) for np.linalg.norm(v)."""
+    step = np.ones(len(xs))
     for _ in range(max_iters):
-        g = grad(x, extra)
-        rgrad = g - np.dot(g, x) * x
-        gnorm = np.linalg.norm(rgrad)
-        if gnorm < tol:
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
             break
-        t = step
+        x = xs[rows]
+        g = grad(x, None if extras is None else extras[rows])
+        rgrad = g - np.vecdot(g, x)[:, None] * x
+        gnorm = np.sqrt(np.vecdot(rgrad, rgrad))
+        flat = gnorm < tol
+        live[rows[flat]] = False
+        rows, x, rgrad, gnorm = rows[~flat], x[~flat], rgrad[~flat], gnorm[~flat]
+        t = step[rows]
+        todo = np.arange(rows.size)  # rows still backtracking
         for _ in range(40):
-            cand = x - t * rgrad
-            cand /= np.linalg.norm(cand)
-            cand_val, cand_extra = f(cand)
-            if cand_val < val - 0.25 * t * gnorm**2:
-                x, val, extra = cand, cand_val, cand_extra
-                step = min(t * 2.0, 1.0)
+            if todo.size == 0:
                 break
-            t *= 0.5
-        else:
-            break
-    return val, x, extra
+            cand = x[todo] - t[todo, None] * rgrad[todo]
+            cand /= np.sqrt(np.vecdot(cand, cand))[:, None]
+            cand_vals, cand_extras = f(cand)
+            ok = cand_vals < vals[rows[todo]] - 0.25 * t[todo] * gnorm[todo] ** 2
+            won = rows[todo[ok]]
+            xs[won], vals[won] = cand[ok], cand_vals[ok]
+            if extras is not None:
+                extras[won] = cand_extras[ok]
+            step[won] = np.minimum(t[todo[ok]] * 2.0, 1.0)
+            todo = todo[~ok]
+            t[todo] *= 0.5
+        live[rows[todo]] = False  # no t passed
+        if zero_is_final:
+            _retire_after_zero(vals, live)
 
 
 def _a0_polar_grid(frame: Frame) -> tuple[float, np.ndarray, np.ndarray]:
@@ -172,32 +221,8 @@ def _a0_polar_grid(frame: Frame) -> tuple[float, np.ndarray, np.ndarray]:
         return 0.5 * (tr - disc)
 
     x_star = _polar_argmin(lam_min)
-    val, u_star = _lambda_min_r(frame, x_star)
-    return val, x_star, u_star
-
-
-def _a0_descent(frame: Frame, x0: np.ndarray, cfg: A0Config) -> tuple[float, np.ndarray, np.ndarray]:
-    """Alternating eigen minimization then projected gradient polish from x0."""
-    x = x0 / np.linalg.norm(x0)
-    mat = frame.matrix
-    val, u = _lambda_min_r(frame, x)
-    # Alternating: u <- argmin_u, then x <- argmin_x of the biquadratic form.
-    for _ in range(50):
-        w = (mat.T @ u) ** 2
-        m_u = (mat * w) @ mat.T
-        evals, evecs = sym_eig(m_u)
-        x_new = evecs[:, -1]
-        new_val, u_new = _lambda_min_r(frame, x_new)
-        if new_val > val - A0_TOL:
-            break
-        x, u, val = x_new, u_new, new_val
-    # Projected gradient polish on the sphere; u is the eigenvector at x.
-    ones = np.ones(frame.count)
-    return _sphere_descent(
-        lambda y: _lambda_min_r(frame, y),
-        lambda y, v: 2.0 * (mat * ((mat.T @ y) * (mat.T @ v) ** 2)) @ ones,
-        x, val, u, cfg.max_iters, A0_TOL,
-    )
+    val, u_star = _lambda_min_r(mat, x_star[None])
+    return float(val[0]), x_star, u_star[0].copy()
 
 
 def a0(frame: Frame, cfg: A0Config | None = None) -> tuple[float, np.ndarray, np.ndarray]:
@@ -206,7 +231,13 @@ def a0(frame: Frame, cfg: A0Config | None = None) -> tuple[float, np.ndarray, np
     For n = 2 a dense polar grid with refinement gives the value, with no
     error bound.
     For n >= 3 a multi-start descent (structured null-vector starts plus
-    seeded random starts) returns an upper bound on the true a0.
+    seeded random starts) returns an upper bound on the true a0: alternating
+    eigen minimization, then a projected gradient polish on the sphere.  The
+    starts descend in lockstep: each alternating step or Armijo halving is
+    one stacked R(x) and one batched eigensolve over the starts still
+    running, and each start keeps its own step, t, iteration count and
+    stopping test, so the result is bit-identical to running the starts one
+    at a time and stopping at the first that reaches 0.
     """
     cfg = cfg or A0Config()
     if frame.dim == 1:
@@ -216,23 +247,52 @@ def a0(frame: Frame, cfg: A0Config | None = None) -> tuple[float, np.ndarray, np
     if frame.dim == 2:
         return _a0_polar_grid(frame)
 
+    mat = frame.matrix
     rng = np.random.default_rng(np.random.Philox(key=[cfg.seed, 0x61_30]))
-    starts: list[np.ndarray] = list(np.eye(frame.dim))
-    # null vectors of F_S^T for small S, where lambda_min(R(x)) can vanish
-    starts.extend(subsets.kernel_starts(frame.matrix, 2**frame.count <= STRUCTURED_BUDGET))
-    evals, evecs = sym_eig(gram(frame))
-    starts.append(evecs[:, -1])
-    for _ in range(cfg.restarts):
-        starts.append(rng.standard_normal(frame.dim))
+    _, gram_vecs = sym_eig(gram(frame))
+    xs = _unit_rows(np.vstack([
+        np.eye(frame.dim),
+        # null vectors of F_S^T for small S, where lambda_min(R(x)) can vanish
+        subsets.kernel_starts(mat, 2**frame.count <= STRUCTURED_BUDGET),
+        gram_vecs[:, -1],
+        rng.standard_normal((cfg.restarts, frame.dim)),
+    ]))
+    vals, us = _lambda_min_r(mat, xs)
+    live = np.ones(len(xs), dtype=bool)
+    _retire_after_zero(vals, live)
+    # Alternating: u <- argmin_u, then x <- argmin_x of the biquadratic form
+    # sum_j <x,f_j>^2 <u,f_j>^2, which is symmetric in x and u: the bottom
+    # eigenvector of R(u).
+    alternating = live.copy()
+    for _ in range(50):
+        rows = np.flatnonzero(alternating & live)
+        if rows.size == 0:
+            break
+        x_new = _lambda_min_r(mat, us[rows])[1]
+        new_vals, u_new = _lambda_min_r(mat, x_new)
+        stop = new_vals > vals[rows] - A0_TOL
+        alternating[rows[stop]] = False
+        acc = rows[~stop]
+        xs[acc], us[acc], vals[acc] = x_new[~stop], u_new[~stop], new_vals[~stop]
+        _retire_after_zero(vals, live)
 
+    # Projected gradient polish on the sphere; u is the eigenvector at x.
+    ones = np.ones(frame.count)
+
+    def grad(ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        weights = _matvecs(mat.T, ys) * _matvecs(mat.T, vs) ** 2
+        return (2.0 * (mat[None] * weights[:, None, :])) @ ones
+
+    _sphere_descent(
+        lambda ys: _lambda_min_r(mat, ys), grad,
+        xs, vals, us, live, cfg.max_iters, A0_TOL, zero_is_final=True,
+    )
+    # The winner as the one-start loop picks it: the first least value, up
+    # to the first 0.0 (the retired starts after it are unfinished).
     best = None
-    for x0 in starts:
-        norm = np.linalg.norm(x0)
-        if norm == 0:
-            continue
-        val, x, u = _a0_descent(frame, x0, cfg)
+    for val, x, u in zip(vals, xs, us):
         if best is None or val < best[0]:
-            best = (val, x, u)
+            best = (float(val), x.copy(), u.copy())
         if best[0] == 0.0:
             break
     return best

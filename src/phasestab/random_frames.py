@@ -54,6 +54,12 @@ class StudyResult:
     summary: dict = field(default_factory=dict)
 
 
+def _check_trials(trials: int) -> None:
+    # checked up front: with no trials the studies would report NaN medians
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
+
+
 def _stream(seed: int, tag: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.Philox(key=[seed, (tag << 32) | trial]))
 
@@ -111,6 +117,7 @@ def minimal_redundancy_study(
     then the exact full-spark enumeration of `omega(mode="exact")`.  For
     n <= 6 the identity Delta = omega is asserted by exhaustive enumeration.
     """
+    _check_trials(trials)
     result = StudyResult()
     medians = {}
     redraws = 0
@@ -164,6 +171,7 @@ def tau_scaling_study(
 ) -> StudyResult:
     """Exact tau for n x (n+k) unit-column Gaussian matrices; reports the
     normalized medians tau * n^(k - 1/2) per n."""
+    _check_trials(trials)
     if k < 0:
         raise ValidationError("k must be >= 0")
     result = StudyResult()
@@ -201,6 +209,7 @@ def redundancy_stability_study(
 ) -> StudyResult:
     """Sampled (and, when feasible, exact) Delta and omega for F = G / sqrt(n)
     with m = round(r0 * n); medians per n feed the non-decay inspection."""
+    _check_trials(trials)
     if not r0 > 2:
         raise ValidationError(f"r0 must exceed 2, got {r0!r}")
     result = StudyResult()

@@ -33,7 +33,15 @@ from .frame_core import (
     frame_bounds,
 )
 from . import subsets
-from .injectivity import A0Config, _polar_argmin, _sphere_descent, a0 as a0_search, full_spark
+from .injectivity import (
+    A0Config,
+    _matvecs,
+    _polar_argmin,
+    _sphere_descent,
+    _unit_rows,
+    a0 as a0_search,
+    full_spark,
+)
 
 EXACT_SUBSET_BUDGET = 1 << 18  # cap on 2^(m-1) for exhaustive Delta
 DEFAULT_SAMPLE_BUDGET = 512
@@ -254,8 +262,9 @@ class FrameAnalysis:
 # Lambda_F: operator norm of the analysis map into l^4.
 # ---------------------------------------------------------------------------
 
-def _quartic_sum(frame: Frame, x: np.ndarray) -> float:
-    return float(np.sum((frame.matrix.T @ x) ** 4))
+def _quartic_sums(mat: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """sum_k <x_i, f_k>^4 for each row x_i of xs."""
+    return np.sum(_matvecs(mat.T, xs) ** 4, axis=1)
 
 
 def lambdaF(frame: Frame) -> tuple[float, np.ndarray]:
@@ -263,33 +272,30 @@ def lambdaF(frame: Frame) -> tuple[float, np.ndarray]:
 
     a0's searches run on the negated sum (IEEE negation is exact): the polar
     grid for n = 2; for n >= 3 the sphere descent from the axes, the frame
-    vectors and LAMBDA_RESTARTS seeded starts.  Cross-checked against
-    Lambda_F^2 = max over unit x of lambda_max(R(x)); the two routes must
-    agree within 1e-6 relative.
+    vectors and LAMBDA_RESTARTS seeded starts, all in lockstep (one stacked
+    evaluation per Armijo halving), bit-identical to one start at a time.
+    Cross-checked against Lambda_F^2 = max over unit x of lambda_max(R(x));
+    the two routes must agree within 1e-6 relative.
     """
     mat = frame.matrix
     n = frame.dim
 
     if n == 2:
         x_star = _polar_argmin(lambda xs: -np.sum((mat.T @ xs) ** 4, axis=0))
-        best_val = _quartic_sum(frame, x_star)
+        best_val = float(_quartic_sums(mat, x_star[None])[0])
     else:
         rng = np.random.default_rng(np.random.Philox(key=[0, 0x1A_4F]))
-        starts = list(np.eye(n)) + [mat[:, j] for j in range(frame.count)]
-        starts += [rng.standard_normal(n) for _ in range(LAMBDA_RESTARTS)]
+        xs = _unit_rows(np.vstack([np.eye(n), mat.T, rng.standard_normal((LAMBDA_RESTARTS, n))]))
+        negs = -_quartic_sums(mat, xs)
+        _sphere_descent(
+            lambda ys: (-_quartic_sums(mat, ys), None),
+            lambda ys, _: -_matvecs(4.0 * mat, _matvecs(mat.T, ys) ** 3),
+            xs, negs, None, np.ones(len(xs), dtype=bool), LAMBDA_MAX_ITERS, LAMBDA_TOL,
+        )
         best_val, x_star = -np.inf, None
-        for x0 in starts:
-            norm = np.linalg.norm(x0)
-            if norm == 0:
-                continue
-            x = x0 / norm
-            neg, x, _ = _sphere_descent(
-                lambda y: (-_quartic_sum(frame, y), None),
-                lambda y, _: -(4.0 * mat @ ((mat.T @ y) ** 3)),
-                x, -_quartic_sum(frame, x), None, LAMBDA_MAX_ITERS, LAMBDA_TOL,
-            )
+        for neg, x in zip(negs, xs):  # the first largest value
             if -neg > best_val:
-                best_val, x_star = -neg, x
+                best_val, x_star = float(-neg), x.copy()
 
     # Cross-route: Lambda_F^2 must equal max lambda_max(R(x)) at the argmax.
     evals, _ = sym_eig((mat * (mat.T @ x_star) ** 2) @ mat.T)

@@ -206,6 +206,22 @@ class TestRandomStudy:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("n_list", ["3,x", "3,0", "-1", "2.5", ""])
+    def test_bad_n_list_exit_2(self, n_list, capsys):
+        code = main(["random-study", "--study", "minimal", "--n-list", n_list, "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: --n-list")
+
+    @pytest.mark.parametrize("study", ["minimal", "tau", "redundancy"])
+    def test_zero_trials_exit_2(self, study, capsys):
+        code = main(["random-study", "--study", study, "--n-list", "3", "--trials", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: trials must be >= 1\n"
+
 
 class TestReproducibility:
     def test_byte_identical_reruns(self, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from phasestab import (
     standard_basis_frame,
     sym_eig,
 )
-from phasestab import subsets
+from phasestab import frame_core, injectivity, robustness, subsets
 
 RNG = np.random.default_rng(7)
 
@@ -115,6 +116,56 @@ class TestSymEig:
         M = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValidationError):
             sym_eig(M)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 24])
+    def test_stack_slices_equal_single_calls(self, n):
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((6, n, n))
+        stack = A @ np.swapaxes(A, 1, 2)
+        # tied eigenvalues: diag(1, 0, 0) at n = 3, then the identity and zero
+        stack[1] = np.diag(np.arange(n) % 3 == 0).astype(float)
+        stack[2] = np.eye(n)
+        stack[3] = 0.0
+        vals, vecs = sym_eig(stack)
+        assert vals.shape == (6, n) and vecs.shape == (6, n, n)
+        for i in range(6):
+            one_vals, one_vecs = sym_eig(stack[i])
+            assert vals[i].tobytes() == one_vals.tobytes()
+            assert np.ascontiguousarray(vecs[i]).tobytes() == np.ascontiguousarray(one_vecs).tobytes()
+
+    def test_stack_rejects_one_asymmetric_member(self):
+        stack = np.stack([np.eye(3)] * 4)
+        stack[2, 0, 1] = 1e-6
+        with pytest.raises(ValidationError, match="matrix 2 of the stack"):
+            sym_eig(stack)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 4), (2, 2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValidationError):
+            sym_eig(np.zeros(shape))
+
+
+class TestSearchCounts:
+    def test_a0_and_lambdaF_batch_their_eigensolves(self, monkeypatch):
+        # one batched solve per lockstep step: the one-start-at-a-time loops
+        # made 35,021 sym_eig and 32,099 r_matrix calls here
+        counts = {"sym_eig": 0, "r_matrix": 0}
+
+        def counted(name, original):
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+            return wrapper
+
+        eig = counted("sym_eig", frame_core.sym_eig)
+        for module in (frame_core, injectivity, robustness):
+            monkeypatch.setattr(module, "sym_eig", eig)
+        monkeypatch.setattr(injectivity, "r_matrix", counted("r_matrix", injectivity.r_matrix))
+        frame = load_frame(str(resources.files("phasestab.fixtures") / "gauss_4x11.json"))
+        injectivity.a0(frame)
+        robustness.lambdaF(frame)
+        assert counts["sym_eig"] <= 2500
+        assert counts["r_matrix"] == 0
 
 
 class TestSubsetSpectrum:

@@ -130,3 +130,18 @@ class TestRedundancyStabilityStudy:
     def test_sampled_mode_flags(self):
         res = redundancy_stability_study(3.0, [8], trials=2, subset_budget=128, seed=5)
         assert any(not row.exact for row in res.rows)
+
+
+@pytest.mark.parametrize(
+    "study",
+    [
+        lambda trials: minimal_redundancy_study([3], trials=trials, seed=0),
+        lambda trials: tau_scaling_study([3], k=1, trials=trials, seed=0),
+        lambda trials: redundancy_stability_study(3.0, [3], trials=trials, subset_budget=64, seed=0),
+    ],
+    ids=["minimal", "tau", "redundancy"],
+)
+@pytest.mark.parametrize("trials", [0, -2])
+def test_studies_need_a_trial(study, trials):
+    with pytest.raises(ValidationError, match="trials must be >= 1"):
+        study(trials)

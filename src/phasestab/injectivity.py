@@ -225,38 +225,11 @@ def _a0_polar_grid(frame: Frame) -> tuple[float, np.ndarray, np.ndarray]:
     return float(val[0]), x_star, u_star[0].copy()
 
 
-def a0(frame: Frame, cfg: A0Config | None = None) -> tuple[float, np.ndarray, np.ndarray]:
-    """The injectivity margin a0 = min over unit x of lambda_min(R(x)).
-
-    For n = 2 a dense polar grid with refinement gives the value, with no
-    error bound.
-    For n >= 3 a multi-start descent (structured null-vector starts plus
-    seeded random starts) returns an upper bound on the true a0: alternating
-    eigen minimization, then a projected gradient polish on the sphere.  The
-    starts descend in lockstep: each alternating step or Armijo halving is
-    one stacked R(x) and one batched eigensolve over the starts still
-    running, and each start keeps its own step, t, iteration count and
-    stopping test, so the result is bit-identical to running the starts one
-    at a time and stopping at the first that reaches 0.
-    """
-    cfg = cfg or A0Config()
-    if frame.dim == 1:
-        val = float(np.sum(frame.matrix[0] ** 4))
-        one = np.ones(1)
-        return val, one, one
-    if frame.dim == 2:
-        return _a0_polar_grid(frame)
-
-    mat = frame.matrix
-    rng = np.random.default_rng(np.random.Philox(key=[cfg.seed, 0x61_30]))
-    _, gram_vecs = sym_eig(gram(frame))
-    xs = _unit_rows(np.vstack([
-        np.eye(frame.dim),
-        # null vectors of F_S^T for small S, where lambda_min(R(x)) can vanish
-        subsets.kernel_starts(mat, 2**frame.count <= STRUCTURED_BUDGET),
-        gram_vecs[:, -1],
-        rng.standard_normal((cfg.restarts, frame.dim)),
-    ]))
+def _a0_lockstep(mat: np.ndarray, xs: np.ndarray, max_iters: int):
+    """(values, x, u) of a0's descent from each unit row of xs, in lockstep:
+    alternating eigen minimization, then a projected gradient polish on the
+    sphere.  A start that reaches 0.0 retires the later ones, whose rows
+    are left unfinished."""
     vals, us = _lambda_min_r(mat, xs)
     live = np.ones(len(xs), dtype=bool)
     _retire_after_zero(vals, live)
@@ -277,7 +250,7 @@ def a0(frame: Frame, cfg: A0Config | None = None) -> tuple[float, np.ndarray, np
         _retire_after_zero(vals, live)
 
     # Projected gradient polish on the sphere; u is the eigenvector at x.
-    ones = np.ones(frame.count)
+    ones = np.ones(mat.shape[1])
 
     def grad(ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
         weights = _matvecs(mat.T, ys) * _matvecs(mat.T, vs) ** 2
@@ -285,16 +258,56 @@ def a0(frame: Frame, cfg: A0Config | None = None) -> tuple[float, np.ndarray, np
 
     _sphere_descent(
         lambda ys: _lambda_min_r(mat, ys), grad,
-        xs, vals, us, live, cfg.max_iters, A0_TOL, zero_is_final=True,
+        xs, vals, us, live, max_iters, A0_TOL, zero_is_final=True,
     )
+    return vals, xs, us
+
+
+def a0(frame: Frame, cfg: A0Config | None = None) -> tuple[float, np.ndarray, np.ndarray]:
+    """The injectivity margin a0 = min over unit x of lambda_min(R(x)).
+
+    For n = 2 a dense polar grid with refinement gives the value, with no
+    error bound.
+    For n >= 3 a multi-start descent (structured null-vector starts plus
+    seeded random starts) returns an upper bound on the true a0: alternating
+    eigen minimization, then a projected gradient polish on the sphere.  The
+    starts descend in lockstep: each alternating step or Armijo halving is
+    one stacked R(x) and one batched eigensolve over the starts still
+    running, and each start keeps its own step, t, iteration count and
+    stopping test, so the result is bit-identical to running the starts one
+    at a time and stopping at the first that reaches 0.  The starts run in
+    order in chunks whose stacked (n, m) arrays take about
+    subsets.CHUNK_BYTES each, and a start at 0 skips the later chunks.
+    """
+    cfg = cfg or A0Config()
+    if frame.dim == 1:
+        val = float(np.sum(frame.matrix[0] ** 4))
+        one = np.ones(1)
+        return val, one, one
+    if frame.dim == 2:
+        return _a0_polar_grid(frame)
+
+    mat = frame.matrix
+    rng = np.random.default_rng(np.random.Philox(key=[cfg.seed, 0x61_30]))
+    _, gram_vecs = sym_eig(gram(frame))
+    xs = _unit_rows(np.vstack([
+        np.eye(frame.dim),
+        # null vectors of F_S^T for small S, where lambda_min(R(x)) can vanish
+        subsets.kernel_starts(mat, 2**frame.count <= STRUCTURED_BUDGET),
+        gram_vecs[:, -1],
+        rng.standard_normal((cfg.restarts, frame.dim)),
+    ]))
     # The winner as the one-start loop picks it: the first least value, up
-    # to the first 0.0 (the retired starts after it are unfinished).
+    # to the first 0.0 (the starts after it are unfinished or never run).
+    # Chunks of starts run in order, so a start at 0.0 skips later chunks.
     best = None
-    for val, x, u in zip(vals, xs, us):
-        if best is None or val < best[0]:
-            best = (float(val), x.copy(), u.copy())
-        if best[0] == 0.0:
-            break
+    rows = max(1, subsets.CHUNK_BYTES // (8 * frame.dim * frame.count))
+    for lo in range(0, len(xs), rows):
+        for val, x, u in zip(*_a0_lockstep(mat, xs[lo:lo + rows], cfg.max_iters)):
+            if best is None or val < best[0]:
+                best = (float(val), x.copy(), u.copy())
+            if best[0] == 0.0:
+                return best
     return best
 
 

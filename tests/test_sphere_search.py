@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasestab import A0Config, Frame, a0, gram, lambdaF, load_frame, r_matrix, subsets, sym_eig
+from phasestab import (
+    A0Config, Frame, a0, gram, injectivity, lambdaF, load_frame, r_matrix, subsets, sym_eig,
+)
 from phasestab.cli import FIXTURES
 from phasestab.injectivity import A0_TOL, STRUCTURED_BUDGET
 from phasestab.robustness import LAMBDA_MAX_ITERS, LAMBDA_RESTARTS, LAMBDA_TOL
@@ -176,3 +178,41 @@ class TestLockstepMatchesLoops:
         best, ran = _a0_loop(frame, cfg)
         assert len(ran) == 2 and ran[0] > 0.0 and ran[1] == 0.0
         _assert_bits(a0(frame, cfg), best)
+
+
+class TestChunkedStarts:
+    """a0 runs its starts in chunks of about subsets.CHUNK_BYTES of stacked
+    (n, m) arrays, in order; shrunk chunks must not change any bit."""
+
+    @pytest.mark.parametrize("name, starts_per_chunk", [("basis3", 1), ("gauss_4x11", 7)])
+    def test_fixtures(self, name, starts_per_chunk, monkeypatch):
+        frame = _fixture(name)
+        want = _a0_loop(frame, CONFIGS[1])[0]
+        monkeypatch.setattr(subsets, "CHUNK_BYTES", 8 * frame.dim * frame.count * starts_per_chunk)
+        _assert_bits(a0(frame, CONFIGS[1]), want)
+
+    @given(frames())
+    @settings(max_examples=5, deadline=None)
+    def test_random_frames(self, frame):
+        want = _a0_loop(frame, CONFIGS[1])[0]
+        saved = subsets.CHUNK_BYTES
+        subsets.CHUNK_BYTES = 8 * frame.dim * frame.count * 2
+        try:
+            _assert_bits(a0(frame, CONFIGS[1]), want)
+        finally:
+            subsets.CHUNK_BYTES = saved
+
+    def test_zero_skips_later_chunks(self, monkeypatch):
+        # one start per chunk: start 1 reaches 0, so no chunk after it runs
+        frame = Frame(np.random.default_rng(4).standard_normal((3, 4)))
+        monkeypatch.setattr(subsets, "CHUNK_BYTES", 8 * frame.dim * frame.count)
+        chunks = []
+        lockstep = injectivity._a0_lockstep
+
+        def spy(mat, xs, max_iters):
+            chunks.append(len(xs))
+            return lockstep(mat, xs, max_iters)
+
+        monkeypatch.setattr(injectivity, "_a0_lockstep", spy)
+        _assert_bits(a0(frame, CONFIGS[1]), _a0_loop(frame, CONFIGS[1])[0])
+        assert chunks == [1, 1]

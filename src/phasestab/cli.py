@@ -244,6 +244,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "subset_budget", 1) < 1:
+            raise ValidationError(f"--subset-budget must be >= 1, got {args.subset_budget}")
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

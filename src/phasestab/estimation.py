@@ -116,7 +116,9 @@ def crlb(
     frame: Frame, x: np.ndarray, sigma: float, a0_cfg: A0Config | None = None
 ) -> dict:
     """CRLB matrix (sigma^2/4) R(x)^{-1}, its trace, and the MSE upper bound
-    n sigma^2 / (4 a0 ||x||^2) for efficient estimators."""
+    n sigma^2 / (4 a0 ||x||^2) for efficient estimators.  For n >= 3, a0 is
+    the search value, an upper estimate of the true a0, so mse_upper may
+    fall below the true bound: it is not a certified upper bound."""
     x = _check_vector(frame, x)
     info = fisher_info(frame, x, sigma)
     evals, _ = sym_eig(info)
@@ -149,6 +151,10 @@ LS_TOL = 1e-14       # L-BFGS relative objective tolerance
 class LSConfig:
     restarts: int = 32
     seed: int = 0
+
+    def __post_init__(self):
+        if self.restarts < 0:
+            raise ValidationError(f"restarts must be >= 0, got {self.restarts}")
 
 
 def _ls_objective(frame: Frame, y: np.ndarray):

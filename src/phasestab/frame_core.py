@@ -121,9 +121,11 @@ def sym_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors as columns: (n,) and (n, n), or (k, n) and (k, n, n) for a
     stack.  Rejects non-symmetric input, each matrix of a stack against its
     own scale; wraps LAPACK non-convergence in ConvergenceError.  A stack
-    goes through one batched `eigh` (LAPACK runs on each matrix in turn) and
-    each row is argsorted alone, so slice i equals sym_eig(mat[i]) bit for
-    bit; the a0 and Lambda_F searches make one such call per lockstep step.
+    goes through one batched `eigh` (LAPACK runs on each matrix in turn);
+    rows with strictly ascending eigenvalues are reversed, and only rows
+    with ties or NaN are argsorted, each alone, so slice i equals
+    sym_eig(mat[i]) bit for bit; the a0 search makes one such call per
+    lockstep step.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim not in (2, 3) or mat.shape[-2] != mat.shape[-1]:
@@ -146,8 +148,16 @@ def sym_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if mat.ndim == 2:
         order = np.argsort(evals)[::-1]
         return evals[order], evecs[:, order]
-    order = np.argsort(evals, axis=-1)[:, ::-1]
-    return np.take_along_axis(evals, order, -1), np.take_along_axis(evecs, order[:, None, :], -1)
+    # eigh's strictly ascending rows reverse to what argsort gives; only
+    # rows with ties or NaN need it
+    sort = np.flatnonzero(~np.all(evals[:, 1:] > evals[:, :-1], axis=1))
+    out_vals, out_vecs = evals[:, ::-1], evecs[:, :, ::-1]
+    if sort.size:
+        order = np.argsort(evals[sort], axis=-1)[:, ::-1]
+        out_vals, out_vecs = out_vals.copy(), out_vecs.copy()
+        out_vals[sort] = np.take_along_axis(evals[sort], order, -1)
+        out_vecs[sort] = np.take_along_axis(evecs[sort], order[:, None, :], -1)
+    return out_vals, out_vecs
 
 
 def gram(frame: Frame, mask: SubsetMask | None = None) -> np.ndarray:

@@ -12,7 +12,7 @@ from math import comb
 import numpy as np
 
 from . import subsets
-from .errors import BudgetExceededError, VerdictConflictError
+from .errors import BudgetExceededError, ValidationError, VerdictConflictError
 from .frame_core import (
     Frame,
     SubsetMask,
@@ -32,6 +32,8 @@ COMPLEMENT_BUDGET_M = 24          # 2^(m-1) partitions enumerated up to here
 FULL_SPARK_BUDGET = 10_000_000    # cap on C(m, n)
 POLAR_STEP = 1e-3                 # angular step of the n = 2 grid (no error bound)
 A0_TOL = 1e-10                    # a0 descent stops below this gradient norm or gain
+SPEC_ROWS = 64                    # rows per speculative Armijo call: one call's fixed
+                                  # cost is about that of solving this many rows
 STRUCTURED_BUDGET = 4096          # 2^m subsets probed for null-vector starts
 
 
@@ -42,6 +44,10 @@ class A0Config:
     restarts: int = 64
     max_iters: int = 200
     seed: int = 0
+
+    def __post_init__(self):
+        if self.restarts < 0:
+            raise ValidationError(f"restarts must be >= 0, got {self.restarts}")
 
 
 @dataclass
@@ -167,11 +173,19 @@ def _sphere_descent(f, grad, xs, vals, extras, live, max_iters: int, tol: float,
     row by row, and extras may be None.  Each round takes the projected
     grad(x, extra) of every live row, then backtracks along it over 40
     halvings of t until the Armijo test (constant 0.25) holds, and starts
-    that row's next round at min(2t, 1).  Each halving is one call of f on
-    the rows still backtracking.  A row stops after max_iters rounds, below
-    a gradient norm of tol, or when no t passes.  Row by row this is the
-    same arithmetic as a descent of one start: np.vecdot stands for np.dot
-    and sqrt(vecdot(v, v)) for np.linalg.norm(v)."""
+    that row's next round at min(2t, 1).  A row stops after max_iters
+    rounds, below a gradient norm of tol, or when no t passes.
+
+    The first t of a round is one call of f on every row.  The rows that
+    fail it then try their next k halvings t 2^-j (j < k) in one stacked
+    call, k = max(1, SPEC_ROWS // rows still backtracking) capped by the
+    halvings left, so a stack never holds more than max(live rows,
+    SPEC_ROWS) rows.  Each row takes its first passing t and discards the
+    candidates after it.  Row by row this is the same arithmetic as a
+    descent of one start: ldexp is the exact repeated halving, np.vecdot
+    stands for np.dot and sqrt(vecdot(v, v)) for np.linalg.norm(v).  The
+    discarded candidates are unit vectors like the others, since
+    ||x - t rgrad|| >= 1 when rgrad is orthogonal to x."""
     step = np.ones(len(xs))
     for _ in range(max_iters):
         rows = np.flatnonzero(live)
@@ -186,20 +200,25 @@ def _sphere_descent(f, grad, xs, vals, extras, live, max_iters: int, tol: float,
         rows, x, rgrad, gnorm = rows[~flat], x[~flat], rgrad[~flat], gnorm[~flat]
         t = step[rows]
         todo = np.arange(rows.size)  # rows still backtracking
-        for _ in range(40):
-            if todo.size == 0:
-                break
-            cand = x[todo] - t[todo, None] * rgrad[todo]
+        tried = 0
+        while todo.size and tried < 40:
+            k = 1 if tried == 0 else min(40 - tried, max(1, SPEC_ROWS // todo.size))
+            ts = np.ldexp(t[todo], -np.arange(k)[:, None])  # (k, rows): halving j of each row
+            cand = (x[todo] - ts[:, :, None] * rgrad[todo]).reshape(-1, x.shape[1])
             cand /= np.sqrt(np.vecdot(cand, cand))[:, None]
             cand_vals, cand_extras = f(cand)
-            ok = cand_vals < vals[rows[todo]] - 0.25 * t[todo] * gnorm[todo] ** 2
-            won = rows[todo[ok]]
-            xs[won], vals[won] = cand[ok], cand_vals[ok]
+            ok = cand_vals.reshape(k, -1) < vals[rows[todo]] - 0.25 * ts * gnorm[todo] ** 2
+            hit = ok.any(axis=0)
+            first = ok.argmax(axis=0)[hit]
+            pick = first * todo.size + np.flatnonzero(hit)
+            won = rows[todo[hit]]
+            xs[won], vals[won] = cand[pick], cand_vals[pick]
             if extras is not None:
-                extras[won] = cand_extras[ok]
-            step[won] = np.minimum(t[todo[ok]] * 2.0, 1.0)
-            todo = todo[~ok]
-            t[todo] *= 0.5
+                extras[won] = cand_extras[pick]
+            step[won] = np.minimum(ts[first, hit] * 2.0, 1.0)
+            todo = todo[~hit]
+            t[todo] = np.ldexp(t[todo], -k)
+            tried += k
         live[rows[todo]] = False  # no t passed
         if zero_is_final:
             _retire_after_zero(vals, live)
@@ -271,11 +290,14 @@ def a0(frame: Frame, cfg: A0Config | None = None) -> tuple[float, np.ndarray, np
     For n >= 3 a multi-start descent (structured null-vector starts plus
     seeded random starts) returns an upper bound on the true a0: alternating
     eigen minimization, then a projected gradient polish on the sphere.  The
-    starts descend in lockstep: each alternating step or Armijo halving is
-    one stacked R(x) and one batched eigensolve over the starts still
-    running, and each start keeps its own step, t, iteration count and
-    stopping test, so the result is bit-identical to running the starts one
-    at a time and stopping at the first that reaches 0.  The starts run in
+    starts descend in lockstep: each alternating step and each block of
+    Armijo step sizes is one stacked R(x) and one batched eigensolve over
+    the starts still running.  A round's first t is tried by every start;
+    the starts it fails try their next halvings several per call, up to
+    about SPEC_ROWS rows a call (`_sphere_descent`).  Each start keeps its
+    own step, first passing t, iteration count and stopping test, so the
+    result is bit-identical to running the starts one at a time and
+    stopping at the first that reaches 0.  The starts run in
     order in chunks whose stacked (n, m) arrays take about
     subsets.CHUNK_BYTES each, and a start at 0 skips the later chunks.
     """

@@ -138,6 +138,8 @@ def delta(
         return value, SubsetMask(bits, m), True
     if mode != "sampled":
         raise ValidationError(f"unknown delta mode {mode!r}")
+    if budget < 1:
+        raise ValidationError(f"sampled Delta needs a budget >= 1, got {budget}")
 
     rng = np.random.default_rng(np.random.Philox(key=[seed, 0xDE_17A]))
 
@@ -273,7 +275,9 @@ def lambdaF(frame: Frame) -> tuple[float, np.ndarray]:
     a0's searches run on the negated sum (IEEE negation is exact): the polar
     grid for n = 2; for n >= 3 the sphere descent from the axes, the frame
     vectors and LAMBDA_RESTARTS seeded starts, all in lockstep (one stacked
-    evaluation per Armijo halving), bit-identical to one start at a time.
+    evaluation for a round's first step size, then one per block of
+    speculative halvings of about SPEC_ROWS rows, `_sphere_descent`),
+    bit-identical to one start at a time.
     Cross-checked against Lambda_F^2 = max over unit x of lambda_max(R(x));
     the two routes must agree within 1e-6 relative.
     """
@@ -395,6 +399,10 @@ def v_ratios_batch(frame: Frame, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 class QepsConfig:
     restarts: int = 128
     seed: int = 0
+
+    def __post_init__(self):
+        if self.restarts < 0:
+            raise ValidationError(f"restarts must be >= 0, got {self.restarts}")
 
 
 def _check_eps(eps: float) -> None:

@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from phasestab import robustness
+from phasestab import A0Config, ValidationError, estimation, robustness
 from phasestab.cli import main
 
 
@@ -147,6 +147,44 @@ class TestNonFiniteInput:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+class TestBadCounts:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--fixture", "gauss_4x11", "--restarts", "-1"],
+            ["constants", "--fixture", "mb3", "--restarts", "-1"],
+            ["stability", "--fixture", "mb3", "--x", "0.6,0.8", "--eps", "0.1", "--restarts", "-1"],
+            ["simulate", "--fixture", "mb3", "--x", "0.6,0.8", "--sigma", "0.01",
+             "--trials", "5", "--restarts", "-2"],
+            ["random-study", "--study", "minimal", "--n-list", "3", "--subset-budget", "0"],
+        ],
+        ids=["certify", "constants", "stability", "simulate", "random-study-budget"],
+    )
+    def test_exit_2(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("config", [A0Config, robustness.QepsConfig, estimation.LSConfig])
+    def test_configs_reject_negative_restarts(self, config):
+        assert config(restarts=0).restarts == 0
+        with pytest.raises(ValidationError, match="restarts must be >= 0, got -1"):
+            config(restarts=-1)
+
+    def test_negative_subset_budget_exit_2(self, capsys, tmp_path):
+        # 2^20 partitions: Delta would be sampled, over a budget of -5
+        mat = np.random.default_rng(21).standard_normal((3, 21))
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"dim": 3, "count": 21, "columns": mat.T.tolist()}))
+        code = main(["constants", str(path), "--subset-budget", "-5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --subset-budget must be >= 1, got -5\n"
 
 
 class TestCrlb:

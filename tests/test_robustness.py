@@ -87,6 +87,10 @@ class TestSubsetConstants:
         with pytest.raises(ValidationError):
             omega(MB3, mode="sampled", budget=0)
 
+    def test_sampled_delta_needs_budget(self):
+        with pytest.raises(ValidationError, match="budget >= 1"):
+            delta(MB3, mode="sampled", budget=0)
+
     def test_tau_needs_rank_n_subset(self):
         with pytest.raises(NotAFrameError):
             tau(Frame(np.array([[1.0, 2.0], [0.0, 0.0]])))

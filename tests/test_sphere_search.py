@@ -13,7 +13,7 @@ from phasestab import (
     A0Config, Frame, a0, gram, injectivity, lambdaF, load_frame, r_matrix, subsets, sym_eig,
 )
 from phasestab.cli import FIXTURES
-from phasestab.injectivity import A0_TOL, STRUCTURED_BUDGET
+from phasestab.injectivity import A0_TOL, SPEC_ROWS, STRUCTURED_BUDGET
 from phasestab.robustness import LAMBDA_MAX_ITERS, LAMBDA_RESTARTS, LAMBDA_TOL
 
 CONFIGS = [A0Config(), A0Config(restarts=8, max_iters=60), A0Config(seed=7)]
@@ -23,7 +23,9 @@ def _fixture(name):
     return load_frame(str(resources.files("phasestab.fixtures") / f"{name}.json"))
 
 
-def _sphere_descent_loop(f, grad, x, val, extra, max_iters, tol):
+def _sphere_descent_loop(f, grad, x, val, extra, max_iters, tol, log=None):
+    """One start's descent; log, when given, gets each backtracking round's
+    passing halving (0 for the first t) or 40 when no t passed."""
     step = 1.0
     for _ in range(max_iters):
         g = grad(x, extra)
@@ -32,7 +34,7 @@ def _sphere_descent_loop(f, grad, x, val, extra, max_iters, tol):
         if gnorm < tol:
             break
         t = step
-        for _ in range(40):
+        for j in range(40):
             cand = x - t * rgrad
             cand /= np.linalg.norm(cand)
             cand_val, cand_extra = f(cand)
@@ -42,6 +44,10 @@ def _sphere_descent_loop(f, grad, x, val, extra, max_iters, tol):
                 break
             t *= 0.5
         else:
+            j = 40
+        if log is not None:
+            log.append(j)
+        if j == 40:
             break
     return val, x, extra
 
@@ -98,7 +104,9 @@ def _quartic_sum(frame, x):
     return float(np.sum((frame.matrix.T @ x) ** 4))
 
 
-def _lambdaF_loop(frame):
+def _lambdaF_loop(frame, logs=None):
+    """Lambda_F one start at a time; logs, when given, gets each start's
+    halving log."""
     mat, n = frame.matrix, frame.dim
     rng = np.random.default_rng(np.random.Philox(key=[0, 0x1A_4F]))
     starts = list(np.eye(n)) + [mat[:, j] for j in range(frame.count)]
@@ -109,11 +117,14 @@ def _lambdaF_loop(frame):
         if norm == 0:
             continue
         x = x0 / norm
+        log = None if logs is None else []
         neg, x, _ = _sphere_descent_loop(
             lambda y: (-_quartic_sum(frame, y), None),
             lambda y, _: -(4.0 * mat @ ((mat.T @ y) ** 3)),
-            x, -_quartic_sum(frame, x), None, LAMBDA_MAX_ITERS, LAMBDA_TOL,
+            x, -_quartic_sum(frame, x), None, LAMBDA_MAX_ITERS, LAMBDA_TOL, log,
         )
+        if logs is not None:
+            logs.append(log)
         if -neg > best_val:
             best_val, x_star = -neg, x
     return float(best_val ** 0.25), x_star
@@ -180,6 +191,51 @@ class TestLockstepMatchesLoops:
         _assert_bits(a0(frame, cfg), best)
 
 
+def _passes_inside_later_blocks(logs):
+    """How many passes the lockstep finds inside a speculative block after
+    the first one of its round, past the block's first t, given every
+    start's halving log: round r backtracks the starts with more than r
+    logged rounds, first over one t, then in blocks of
+    max(1, SPEC_ROWS // rows left) halvings."""
+    count = 0
+    for r in range(max(map(len, logs))):
+        todo = [log[r] for log in logs if len(log) > r]
+        tried, block = 0, 0
+        while todo and tried < 40:
+            k = 1 if tried == 0 else min(40 - tried, max(1, SPEC_ROWS // len(todo)))
+            if block >= 2:
+                count += sum(tried < j < tried + k for j in todo)
+            todo = [j for j in todo if j >= tried + k]
+            tried, block = tried + k, block + 1
+    return count
+
+
+class TestSpeculativeHalvings:
+    """After a round's first t, the rows still backtracking try several
+    halvings per call; each row must still take its first passing t."""
+
+    def test_start_that_fails_every_halving(self):
+        frame = _fixture("basis3")
+        logs = []
+        _lambdaF_loop(frame, logs)
+        assert any(40 in log for log in logs)
+        _assert_same_as_loops(frame, CONFIGS[0])
+
+    def test_pass_inside_a_later_speculative_block(self):
+        frame = Frame(np.random.default_rng(0).standard_normal((3, 5)))
+        logs = []
+        _lambdaF_loop(frame, logs)
+        assert _passes_inside_later_blocks(logs) > 0
+        _assert_same_as_loops(frame, CONFIGS[0])
+
+    @pytest.mark.parametrize("spec_rows", [1, 3, 10_000])
+    def test_any_row_cap(self, spec_rows, monkeypatch):
+        # one halving per call (the serial schedule), small blocks, and every
+        # halving left in one block
+        monkeypatch.setattr(injectivity, "SPEC_ROWS", spec_rows)
+        _assert_same_as_loops(_fixture("gauss_4x11"), CONFIGS[1])
+
+
 class TestChunkedStarts:
     """a0 runs its starts in chunks of about subsets.CHUNK_BYTES of stacked
     (n, m) arrays, in order; shrunk chunks must not change any bit."""
@@ -201,6 +257,21 @@ class TestChunkedStarts:
             _assert_bits(a0(frame, CONFIGS[1]), want)
         finally:
             subsets.CHUNK_BYTES = saved
+
+    def test_stacks_stay_within_chunk_or_row_cap(self, monkeypatch):
+        frame = _fixture("gauss_4x11")
+        chunk_rows = 7
+        monkeypatch.setattr(subsets, "CHUNK_BYTES", 8 * frame.dim * frame.count * chunk_rows)
+        sizes = []
+        solve = injectivity._lambda_min_r
+
+        def spy(mat, xs):
+            sizes.append(len(xs))
+            return solve(mat, xs)
+
+        monkeypatch.setattr(injectivity, "_lambda_min_r", spy)
+        _assert_bits(a0(frame, CONFIGS[1]), _a0_loop(frame, CONFIGS[1])[0])
+        assert chunk_rows < max(sizes) <= max(chunk_rows, SPEC_ROWS)
 
     def test_zero_skips_later_chunks(self, monkeypatch):
         # one start per chunk: start 1 reaches 0, so no chunk after it runs

@@ -219,7 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--restarts", type=int, default=4)
+    p.add_argument(
+        "--restarts", type=int, default=4,
+        help="least-squares starts per trial, the spectral start included (>= 1)",
+    )
     p.add_argument("--csv-out", help="per-trial CSV path (default stdout)")
     p.set_defaults(func=cmd_simulate)
 

@@ -149,3 +149,24 @@ def complement_property_bruteforce(F):
         if _rank(F[:, S]) < n and _rank(F[:, Sc]) < n:
             return False
     return True
+
+
+def lbfgs_least_squares(F, y, starts):
+    """The estimator's former per-start solver: scipy's L-BFGS-B on
+    sum_k (<x, f_k>^2 - y_k)^2 from each start, with the options it ran
+    with (500 iterations, ftol 1e-14, gtol 1e-12).  Returns the (x, value)
+    of the first start that ends lowest."""
+    from scipy.optimize import minimize
+
+    def fun(x):
+        c = F.T @ x
+        r = c**2 - y
+        return float(r @ r), 4.0 * F @ (r * c)
+
+    best_x, best_val = None, math.inf
+    for x0 in starts:
+        res = minimize(fun, x0, jac=True, method="L-BFGS-B",
+                       options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-12})
+        if res.fun < best_val:
+            best_x, best_val = res.x, float(res.fun)
+    return best_x, best_val

@@ -1,14 +1,25 @@
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import phasestab
 from phasestab import A0Config, ValidationError, estimation, robustness
 from phasestab.cli import main
+
+
+def subprocess_env() -> dict:
+    """Environment for a child interpreter that imports the same phasestab
+    as this one, however that one was put on the path."""
+    src = str(Path(phasestab.__file__).resolve().parent.parent)
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
 def run_cli(args, capsys):
@@ -158,9 +169,12 @@ class TestBadCounts:
             ["stability", "--fixture", "mb3", "--x", "0.6,0.8", "--eps", "0.1", "--restarts", "-1"],
             ["simulate", "--fixture", "mb3", "--x", "0.6,0.8", "--sigma", "0.01",
              "--trials", "5", "--restarts", "-2"],
+            ["simulate", "--fixture", "mb3", "--x", "0.6,0.8", "--sigma", "0.01",
+             "--trials", "5", "--restarts", "0"],
             ["random-study", "--study", "minimal", "--n-list", "3", "--subset-budget", "0"],
         ],
-        ids=["certify", "constants", "stability", "simulate", "random-study-budget"],
+        ids=["certify", "constants", "stability", "simulate", "simulate-zero-restarts",
+             "random-study-budget"],
     )
     def test_exit_2(self, argv, capsys):
         code = main(argv)
@@ -169,10 +183,18 @@ class TestBadCounts:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
-    @pytest.mark.parametrize("config", [A0Config, robustness.QepsConfig, estimation.LSConfig])
-    def test_configs_reject_negative_restarts(self, config):
-        assert config(restarts=0).restarts == 0
-        with pytest.raises(ValidationError, match="restarts must be >= 0, got -1"):
+    @pytest.mark.parametrize(
+        "config, least",
+        [(A0Config, 0), (robustness.QepsConfig, 0), (estimation.LSConfig, 1)],
+        ids=["A0Config", "QepsConfig", "LSConfig"],
+    )
+    def test_configs_reject_negative_restarts(self, config, least):
+        # A0Config and QepsConfig count random starts only; LSConfig counts
+        # the spectral start too, so it needs at least one
+        assert config(restarts=least).restarts == least
+        with pytest.raises(ValidationError, match=f"restarts must be >= {least}, got {least - 1}"):
+            config(restarts=least - 1)
+        with pytest.raises(ValidationError, match=f"restarts must be >= {least}, got -1"):
             config(restarts=-1)
 
     def test_negative_subset_budget_exit_2(self, capsys, tmp_path):
@@ -280,10 +302,23 @@ class TestReproducibility:
         _, inproc = run_cli(["certify", "--fixture", "mb3"], capsys)
         proc = subprocess.run(
             [sys.executable, "-m", "phasestab.cli", "certify", "--fixture", "mb3"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=subprocess_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout == inproc
+
+    def test_import_leaves_scipy_out(self):
+        # scipy is a test dependency only; importing it cost most of the
+        # CLI's start-up time
+        code = (
+            "import phasestab, phasestab.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_floats_survive_json_roundtrip_exactly(self, capsys):
         _, out = run_cli(["certify", "--fixture", "mb3"], capsys)

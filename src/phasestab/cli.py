@@ -143,7 +143,6 @@ def cmd_simulate(args) -> int:
         args.trials,
         args.seed,
         ls_cfg=estimation.LSConfig(restarts=args.restarts),
-        a0_cfg=A0Config(seed=args.seed),
     )
     doc = run.to_json_dict()
     doc["sigma"] = args.sigma

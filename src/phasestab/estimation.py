@@ -121,6 +121,17 @@ def fisher_empirical(
     return scores.T @ scores / trials
 
 
+def _crlb_matrix(frame: Frame, x: np.ndarray, sigma: float) -> np.ndarray:
+    """I(x)^-1 = (sigma^2/4) R(x)^-1 for a checked x; raises SingularFisherError."""
+    info = fisher_info(frame, x, sigma)
+    evals, _ = sym_eig(info)
+    if evals[-1] <= 1e-12 * max(evals[0], 1e-300):
+        raise SingularFisherError(
+            f"Fisher information singular at x={x.tolist()}: lambda_min={evals[-1]!r}"
+        )
+    return np.linalg.inv(info)
+
+
 def crlb(
     frame: Frame, x: np.ndarray, sigma: float, a0_cfg: A0Config | None = None
 ) -> dict:
@@ -129,13 +140,7 @@ def crlb(
     the search value, an upper estimate of the true a0, so mse_upper may
     fall below the true bound: it is not a certified upper bound."""
     x = _check_vector(frame, x)
-    info = fisher_info(frame, x, sigma)
-    evals, _ = sym_eig(info)
-    if evals[-1] <= 1e-12 * max(evals[0], 1e-300):
-        raise SingularFisherError(
-            f"Fisher information singular at x={x.tolist()}: lambda_min={evals[-1]!r}"
-        )
-    matrix = np.linalg.inv(info)
+    matrix = _crlb_matrix(frame, x, sigma)
     a0_val, _, _ = a0_search(frame, a0_cfg)
     xsq = float(np.dot(x, x))
     mse_upper = (
@@ -371,7 +376,6 @@ def mse_monte_carlo(
     trials: int,
     seed: int,
     ls_cfg: LSConfig | None = None,
-    a0_cfg: A0Config | None = None,
 ) -> EstimationRun:
     """Monte Carlo MSE of the least-squares oracle against the CRLB trace.
 
@@ -383,7 +387,7 @@ def mse_monte_carlo(
         raise ValidationError("trials must be >= 1")
     noise = NoiseModel(sigma)
     ls_cfg = ls_cfg or LSConfig(restarts=4)
-    bound = crlb(frame, x, sigma, a0_cfg)
+    crlb_trace = float(np.trace(_crlb_matrix(frame, x, sigma)))
     x_canon = canonicalize(x)
 
     errors = np.empty(trials)
@@ -404,7 +408,7 @@ def mse_monte_carlo(
         seed=seed,
         x_true=x_canon,
         mse=float(np.mean(errors)),
-        crlb_trace=bound["trace"],
+        crlb_trace=crlb_trace,
         bias=np.mean(estimates, axis=0) - x_canon,
         per_trial=rows,
     )

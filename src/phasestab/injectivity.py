@@ -6,8 +6,8 @@ side by side and refuses to return if they disagree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 
@@ -30,11 +30,9 @@ A0_REL_TOL = 1e-12
 
 COMPLEMENT_BUDGET_M = 24          # 2^(m-1) partitions enumerated up to here
 FULL_SPARK_BUDGET = 10_000_000    # cap on C(m, n)
-POLAR_STEP = 1e-3                 # angular step of the n = 2 grid (no error bound)
 A0_TOL = 1e-10                    # a0 descent stops below this gradient norm or gain
 SPEC_ROWS = 64                    # rows per speculative Armijo call: one call's fixed
                                   # cost is about that of solving this many rows
-STRUCTURED_BUDGET = 4096          # 2^m subsets probed for null-vector starts
 
 
 @dataclass
@@ -100,7 +98,7 @@ def full_spark(frame: Frame) -> tuple[bool, SubsetMask | None]:
     n, m = frame.dim, frame.count
     if m < n:
         return False, SubsetMask.from_indices(range(m), m)
-    if comb(m, n) > FULL_SPARK_BUDGET:
+    if math.comb(m, n) > FULL_SPARK_BUDGET:
         raise BudgetExceededError(
             f"full spark enumeration infeasible: C({m},{n}) > {FULL_SPARK_BUDGET}"
         )
@@ -134,18 +132,6 @@ def _lambda_min_r(mat: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     lam = evals[:, -1]
     # not np.maximum: this keeps -0.0 and NaN as max(lam, 0.0) does
     return np.where(0.0 > lam, 0.0, lam), evecs[:, :, -1]
-
-
-def _polar_argmin(objective) -> np.ndarray:
-    """Unit x = (cos phi, sin phi), phi in [0, pi), minimizing objective(xs)
-    over 2 x k arrays of such columns: a POLAR_STEP grid, then 12 rounds of
-    65 points over +-width around the winner, width / 16 per round.  A
-    minimum narrower than the grid step can be missed: no error bound."""
-    phis, width = np.arange(0.0, np.pi, POLAR_STEP), POLAR_STEP
-    for _ in range(13):  # the full grid, then 12 refinements
-        center = phis[int(np.argmin(objective(np.vstack([np.cos(phis), np.sin(phis)]))))]
-        phis, width = np.linspace(center - width, center + width, 65), width / 16.0
-    return np.array([np.cos(center), np.sin(center)])
 
 
 def _unit_rows(xs: np.ndarray) -> np.ndarray:
@@ -224,23 +210,35 @@ def _sphere_descent(f, grad, xs, vals, extras, live, max_iters: int, tol: float,
             _retire_after_zero(vals, live)
 
 
-def _a0_polar_grid(frame: Frame) -> tuple[float, np.ndarray, np.ndarray]:
-    """a0 for n = 2 on the polar grid, which carries no error bound;
-    lambda_min(R(x)) has a closed 2x2 form, so each grid is one sweep."""
+def _a0_2d(frame: Frame) -> tuple[float, np.ndarray, np.ndarray]:
+    """a0 for n = 2 in closed form.  With x = (cos a, sin a), u = (cos b, sin b),
+    f_k = r_k (cos t_k, sin t_k) and w_k = r_k^4 / 4, sum_k <x,f_k>^2 <u,f_k>^2
+    is sum_k w_k (cos p + c_k)^2, p = a - b, c_k = cos(q - 2 t_k), q = a + b.
+    The best cos p is minus the w-mean of the c_k, which leaves W Var_w(c) =
+    (S + Re(D e^(-2iq))) / 2, least at (S - |D|) / 2: d_k = e^(2i t_k) minus
+    its w-mean, S = sum_k w_k |d_k|^2, D = sum_k w_k d_k^2.  The value and u
+    come from the eigensolve at x*, which must agree within A0_REL_TOL * a0_scale."""
     mat = frame.matrix
-
-    def lam_min(xs: np.ndarray) -> np.ndarray:
-        c2 = (mat.T @ xs) ** 2                            # (m, k)
-        # R entries: [[r00, r01], [r01, r11]]
-        r00 = c2.T @ (mat[0] ** 2)
-        r11 = c2.T @ (mat[1] ** 2)
-        r01 = c2.T @ (mat[0] * mat[1])
-        tr = r00 + r11
-        disc = np.sqrt(np.maximum((r00 - r11) ** 2 + 4 * r01**2, 0.0))
-        return 0.5 * (tr - disc)
-
-    x_star = _polar_argmin(lam_min)
+    z = mat[0] + 1j * mat[1]
+    z = z[z != 0]
+    w = 0.25 * np.abs(z) ** 4
+    total = float(np.sum(w))
+    closed, x_star = 0.0, np.array([1.0, 0.0])
+    if total > 0:  # else every column is 0 (or underflows)
+        d = (z / np.abs(z)) ** 2
+        mean = np.sum(w * d) / total
+        d -= mean
+        big_d = np.sum(w * d * d)
+        closed = 0.5 * float(np.sum(w * np.abs(d) ** 2) - np.abs(big_d))
+        q = 0.5 * (np.angle(big_d) + np.pi)
+        cos_p = -(mean * np.exp(-1j * q)).real
+        alpha = 0.5 * (q + np.arccos(np.clip(cos_p, -1.0, 1.0)))
+        x_star = np.array([np.cos(alpha), np.sin(alpha)])
     val, u_star = _lambda_min_r(mat, x_star[None])
+    if abs(closed - val[0]) > A0_REL_TOL * a0_scale(frame):
+        raise VerdictConflictError(
+            f"a0 routes disagree: closed form {closed!r} vs lambda_min(R(x*)) {float(val[0])!r}"
+        )
     return float(val[0]), x_star, u_star[0].copy()
 
 
@@ -285,21 +283,20 @@ def _a0_lockstep(mat: np.ndarray, xs: np.ndarray, max_iters: int):
 def a0(frame: Frame, cfg: A0Config | None = None) -> tuple[float, np.ndarray, np.ndarray]:
     """The injectivity margin a0 = min over unit x of lambda_min(R(x)).
 
-    For n = 2 a dense polar grid with refinement gives the value, with no
-    error bound.
-    For n >= 3 a multi-start descent (structured null-vector starts plus
-    seeded random starts) returns an upper bound on the true a0: alternating
-    eigen minimization, then a projected gradient polish on the sphere.  The
-    starts descend in lockstep: each alternating step and each block of
-    Armijo step sizes is one stacked R(x) and one batched eigensolve over
-    the starts still running.  A round's first t is tried by every start;
-    the starts it fails try their next halvings several per call, up to
-    about SPEC_ROWS rows a call (`_sphere_descent`).  Each start keeps its
-    own step, first passing t, iteration count and stopping test, so the
-    result is bit-identical to running the starts one at a time and
-    stopping at the first that reaches 0.  The starts run in
-    order in chunks whose stacked (n, m) arrays take about
-    subsets.CHUNK_BYTES each, and a start at 0 skips the later chunks.
+    For n = 2 the minimum has a closed form (`_a0_2d`): the value is
+    lambda_min(R(x*)) at its minimizer x*, within A0_REL_TOL * a0_scale of
+    the closed form, else VerdictConflictError is raised.
+    For n >= 3 a multi-start descent returns an upper bound on the true a0.
+    Its starts are the axes, the kernel vectors of the (n-1)-subsets of
+    columns (one is a zero of lambda_min(R(x)) whenever the complement
+    property fails and the columns span R^n), the bottom eigenvector of the
+    Gram matrix and cfg.restarts seeded random vectors.  Each runs
+    alternating eigen minimization, then a projected gradient polish on the
+    sphere, all in lockstep (`_a0_lockstep`, `_sphere_descent`) and
+    bit-identical to running the starts one at a time, stopping at the
+    first that reaches 0.  The starts run in order in chunks whose stacked
+    (n, m) arrays take about subsets.CHUNK_BYTES each, and a start at 0
+    skips the later chunks.
     """
     cfg = cfg or A0Config()
     if frame.dim == 1:
@@ -307,15 +304,15 @@ def a0(frame: Frame, cfg: A0Config | None = None) -> tuple[float, np.ndarray, np
         one = np.ones(1)
         return val, one, one
     if frame.dim == 2:
-        return _a0_polar_grid(frame)
+        return _a0_2d(frame)
 
     mat = frame.matrix
     rng = np.random.default_rng(np.random.Philox(key=[cfg.seed, 0x61_30]))
     _, gram_vecs = sym_eig(gram(frame))
     xs = _unit_rows(np.vstack([
         np.eye(frame.dim),
-        # null vectors of F_S^T for small S, where lambda_min(R(x)) can vanish
-        subsets.kernel_starts(mat, 2**frame.count <= STRUCTURED_BUDGET),
+        # null vectors of F_S^T, where lambda_min(R(x)) can vanish
+        subsets.kernel_starts(mat),
         gram_vecs[:, -1],
         rng.standard_normal((cfg.restarts, frame.dim)),
     ]))

@@ -36,7 +36,6 @@ from . import subsets
 from .injectivity import (
     A0Config,
     _matvecs,
-    _polar_argmin,
     _sphere_descent,
     _unit_rows,
     a0 as a0_search,
@@ -126,8 +125,8 @@ def delta(
     bounded memory and returns the first minimum in bitmask order
     (`subsets.delta_exact`; the budget bounds time, not memory).  Sampled
     mode scores seeded random and thin subsets in one `subsets.partition_bounds`
-    call, then descends by Hamming-distance-1 flips, one call each; the result
-    is then an upper bound (exact=False).
+    call, then descends by Hamming-distance-1 flips, scored in blocks; the
+    result is then an upper bound (exact=False).
     """
     n, m = frame.dim, frame.count
     full = (1 << m) - 1
@@ -161,11 +160,20 @@ def delta(
     best.scan(subsets.partition_bounds(frame.matrix, masks), masks)
     # Local descent: flip one index at a time, keeping each flip that
     # improves by more than the slack (first improvement, in index order).
+    # Flips are scored in blocks of 1, 2, 4, ... per call, back to 1 after
+    # a kept flip, so the flips scored past a kept one are at most as many
+    # as those scored since the previous kept flip.
     for _ in range(20):
-        start = best.key
-        for i in range(m):
-            cand = best.key ^ (1 << i)
-            best.scan(subsets.partition_bounds(frame.matrix, [cand]), [cand])
+        start, i, size = best.key, 0, 1
+        while i < m:
+            flips = [best.key ^ (1 << j) for j in range(i, min(m, i + size))]
+            values = subsets.partition_bounds(frame.matrix, flips)
+            hits = np.flatnonzero(values < best.value - subsets.OMEGA_SLACK)
+            if hits.size:
+                best.value, best.key = values[hits[0]], flips[hits[0]]
+                i, size = i + int(hits[0]) + 1, 1
+            else:
+                i, size = i + len(flips), 2 * size
         if best.key == start:  # values only fall, so no flip improved
             break
     return float(np.sqrt(best.value)), SubsetMask(best.key, m), False
@@ -272,21 +280,27 @@ def _quartic_sums(mat: np.ndarray, xs: np.ndarray) -> np.ndarray:
 def lambdaF(frame: Frame) -> tuple[float, np.ndarray]:
     """Lambda_F = (max over unit x of sum_k |<x,f_k>|^4)^(1/4).
 
-    a0's searches run on the negated sum (IEEE negation is exact): the polar
-    grid for n = 2; for n >= 3 the sphere descent from the axes, the frame
-    vectors and LAMBDA_RESTARTS seeded starts, all in lockstep (one stacked
-    evaluation for a round's first step size, then one per block of
-    speculative halvings of about SPEC_ROWS rows, `_sphere_descent`),
-    bit-identical to one start at a time.
+    For n = 2, x = (cos a, sin a), the sum is evaluated at a = 0 (the
+    maximum when it is constant, as on MB3) and at every critical point,
+    exact up to the rounding of the roots: with z_k = (f_k1 + i f_k2)^2 the
+    sum is const + Re(C1 s^-1) + Re(C2 s^-2) in s = e^(2ia),
+    C1 = sum_k |z_k| z_k / 2 and C2 = sum_k z_k^2 / 8, and its critical
+    points are roots of -2 conj(C2) s^4 - conj(C1) s^3 + C1 s + 2 C2.
+    For n >= 3 a0's sphere descent runs on the negated sum (IEEE negation is
+    exact) from the axes, the frame vectors and LAMBDA_RESTARTS seeded
+    starts, all in lockstep (`_sphere_descent`), bit-identical to one start
+    at a time.  The first largest value wins.
     Cross-checked against Lambda_F^2 = max over unit x of lambda_max(R(x));
     the two routes must agree within 1e-6 relative.
     """
-    mat = frame.matrix
-    n = frame.dim
-
+    mat, n = frame.matrix, frame.dim
     if n == 2:
-        x_star = _polar_argmin(lambda xs: -np.sum((mat.T @ xs) ** 4, axis=0))
-        best_val = float(_quartic_sums(mat, x_star[None])[0])
+        z = (mat[0] + 1j * mat[1]) ** 2
+        c1, c2 = 0.5 * np.sum(np.abs(z) * z), 0.125 * np.sum(z * z)
+        roots = np.roots([-2.0 * np.conj(c2), -np.conj(c1), 0.0, c1, 2.0 * c2])
+        alphas = np.concatenate([[0.0], 0.5 * np.angle(roots)])
+        xs = np.column_stack([np.cos(alphas), np.sin(alphas)])
+        sums = _quartic_sums(mat, xs)
     else:
         rng = np.random.default_rng(np.random.Philox(key=[0, 0x1A_4F]))
         xs = _unit_rows(np.vstack([np.eye(n), mat.T, rng.standard_normal((LAMBDA_RESTARTS, n))]))
@@ -296,10 +310,9 @@ def lambdaF(frame: Frame) -> tuple[float, np.ndarray]:
             lambda ys, _: -_matvecs(4.0 * mat, _matvecs(mat.T, ys) ** 3),
             xs, negs, None, np.ones(len(xs), dtype=bool), LAMBDA_MAX_ITERS, LAMBDA_TOL,
         )
-        best_val, x_star = -np.inf, None
-        for neg, x in zip(negs, xs):  # the first largest value
-            if -neg > best_val:
-                best_val, x_star = float(-neg), x.copy()
+        sums = -negs
+    best = int(np.argmax(sums))  # the first largest value
+    best_val, x_star = float(sums[best]), xs[best].copy()
 
     # Cross-route: Lambda_F^2 must equal max lambda_max(R(x)) at the argmax.
     evals, _ = sym_eig((mat * (mat.T @ x_star) ** 2) @ mat.T)
@@ -630,7 +643,9 @@ def lipschitz_constants(
 ) -> StabilityConstants:
     """Assemble every stability constant and assert the theory chain
     Delta = rho_inf <= omega <= rho_0 = sqrt(A) <= sqrt(B).  Over-budget
-    Delta and omega fall back to subset_budget seeded samples."""
+    Delta and omega fall back to subset_budget seeded samples.  a0 and
+    Lambda_F are exact for n <= 2 (closed forms); for n >= 3 they come from
+    searches, a0 an upper and Lambda_F a lower bound (exact flag False)."""
     analysis = FrameAnalysis(frame, subset_budget, seed)
     a_lower, b_upper = frame_bounds(frame)
     delta_val, s_delta, delta_exact = analysis.delta

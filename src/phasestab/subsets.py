@@ -243,24 +243,12 @@ def tau(mat: np.ndarray) -> float:
     return best
 
 
-def kernel_starts(mat: np.ndarray, all_subsets: bool) -> np.ndarray:
-    """(N, n) kernel vectors of F_S^T (see `kernel_vectors`): with
-    all_subsets, for every nonempty S that does not span R^n, in increasing
-    bitmask order (needs a small m); else for every (n-1)-subset S, in
-    combinations order."""
+def kernel_starts(mat: np.ndarray) -> np.ndarray:
+    """(N, n) kernel vectors of F_S^T (see `kernel_vectors`) for every
+    (n-1)-subset S, in combinations order."""
     n, m = mat.shape
-    out = [np.empty((0, n))]
-    if all_subsets:
-        for bits in bit_ranges(1 << m, n, m):
-            bits = bits[(bits > 0) & ~spans(mat, bits)]
-            vecs = np.empty((len(bits), n))
-            for pos, idx in _by_size(bits, m):
-                vecs[pos] = kernel_vectors(mat, idx)
-            out.append(vecs)
-    else:
-        for idx in chunked(combinations(range(m), n - 1), n - 1, n):
-            out.append(kernel_vectors(mat, idx))
-    return np.concatenate(out)
+    rows = chunked(combinations(range(m), n - 1), n - 1, n)
+    return np.concatenate([np.empty((0, n))] + [kernel_vectors(mat, idx) for idx in rows])
 
 
 def omega_complements(mat: np.ndarray, rows: Iterable) -> tuple[float, int]:

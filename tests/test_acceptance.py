@@ -240,7 +240,7 @@ def test_criterion_5_fisher_crlb_suite():
     rng = np.random.default_rng(56)
     for i in range(10):
         fr = retrievable_frame(2, int(rng.integers(3, 7)), 8800 + i)
-        a0_val, _, _ = a0(fr)  # certified dense-grid value in n=2
+        a0_val, _, _ = a0(fr)  # closed-form value in n=2
         for _ in range(20):
             xx = rng.standard_normal(2) * rng.uniform(0.2, 3.0)
             lam_min = np.linalg.eigvalsh(fisher_info(fr, xx, sigma)).min()

@@ -9,15 +9,19 @@ import oracles
 from phasestab import (
     A0Config,
     Frame,
+    VerdictConflictError,
     a0,
     a0_scale,
     complement_property,
     full_spark,
+    injectivity,
+    lambdaF,
     mercedes_benz_frame,
     phase_retrievable,
     r_matrix,
     standard_basis_frame,
 )
+from phasestab.injectivity import a0_is_positive
 
 MB3 = mercedes_benz_frame()
 
@@ -116,8 +120,10 @@ class TestA0:
 
     def test_standard_basis_a0_zero(self):
         val, x_star, _ = a0(standard_basis_frame(2))
-        # minimizer (1, 1)/sqrt(2) kills lambda_min exactly
+        # the minimizers are ±e1 and ±e2, where R(x) = e_i e_i^T is singular;
+        # at x = (1, 1)/sqrt(2), R = I/2
         assert val == pytest.approx(0.0, abs=1e-10)
+        assert min(abs(x_star[0]), abs(x_star[1])) < 1e-12
 
     def test_upper_bound_in_3d(self):
         # descent returns lambda_min(R(x)) at a feasible unit x: an upper bound
@@ -145,6 +151,112 @@ class TestA0:
     def test_scale_normalizer(self):
         fr = MB3
         assert a0_scale(fr) == pytest.approx(1.0, abs=1e-12)  # unit columns
+
+
+def two_dim_frame(kind, m, seed):
+    """2 x m frames: Gaussian, unit columns, a duplicated column, a column
+    1e-7 off another's direction, or a zero column."""
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((2, m))
+    if kind == "unit":
+        mat /= np.linalg.norm(mat, axis=0)
+    elif kind == "duplicated":
+        mat[:, -1] = mat[:, 0]
+    elif kind == "near_parallel":
+        turn = np.array([[1.0, -1e-7], [1e-7, 1.0]])
+        mat[:, -1] = 1.3 * turn @ mat[:, 0]
+    elif kind == "zero_column":
+        mat[:, -1] = 0.0
+    return Frame(mat)
+
+
+class TestTwoDimClosedForms:
+    """n = 2: a0 in closed form and Lambda_F from the critical points of
+    the quartic sum, against the dense angle grids of the oracles."""
+
+    KINDS = ["random", "unit", "duplicated", "near_parallel", "zero_column"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_against_grid_oracles(self, kind):
+        for seed in range(3):
+            fr = two_dim_frame(kind, 3 + seed, 900 + seed)
+            size = float(np.sum(np.sum(fr.matrix**2, axis=0) ** 2))  # sum ||f||^4
+            val, x_star, u_star = a0(fr)
+            grid = oracles.a0_grid_2d(fr.matrix, 4001)
+            # the grid value is attained, so it bounds a0 from above
+            assert val <= grid + 1e-12 * size
+            assert grid - val <= 1e-5 * size
+            lam, x_lam = lambdaF(fr)
+            grid_lam = oracles.lambda_grid_2d(fr.matrix, 4001)
+            assert grid_lam <= lam * (1 + 1e-12)
+            assert lam - grid_lam <= 1e-5 * lam
+            # the witnesses attain the values
+            lam_min = np.linalg.eigvalsh(oracles.r_matrix_naive(fr.matrix, x_star))[0]
+            assert abs(lam_min - val) <= 1e-13 * size
+            assert np.sum((fr.matrix.T @ x_lam) ** 4) == pytest.approx(lam**4, rel=1e-12)
+
+    def test_all_zero_frame(self):
+        fr = Frame(np.zeros((2, 3)))
+        val, x_star, u_star = a0(fr)
+        assert val == 0.0
+        assert np.linalg.norm(x_star) == pytest.approx(1.0)
+        assert lambdaF(fr)[0] == 0.0
+
+    def test_mercedes_benz_witnesses(self):
+        val, x_star, u_star = a0(MB3)
+        assert val == pytest.approx(3.0 / 8.0, abs=1e-15)
+        r = oracles.r_matrix_naive(MB3.matrix, x_star)
+        evals = np.linalg.eigvalsh(r)
+        assert evals[0] == pytest.approx(val, abs=1e-15)
+        # u* is the bottom eigenvector of R(x*)
+        np.testing.assert_allclose(r @ u_star, val * u_star, atol=1e-15)
+        assert np.linalg.norm(u_star) == pytest.approx(1.0, abs=1e-15)
+        lam, x_lam = lambdaF(MB3)
+        assert lam**4 == pytest.approx(9.0 / 8.0, abs=1e-15)
+
+    def test_closed_form_cross_check_fires(self, monkeypatch):
+        # a negative tolerance makes any two routes disagree
+        monkeypatch.setattr(injectivity, "A0_REL_TOL", -1.0)
+        with pytest.raises(VerdictConflictError, match="a0 routes disagree"):
+            a0(MB3)
+
+
+def _frame_with_violating_side(n, side_rank, seed):
+    """A frame of R^n that spans R^n, with a side S of rank side_rank < n - 1
+    (multiples of side_rank vectors) whose complement spans only a
+    hyperplane."""
+    rng = np.random.default_rng(seed)
+    basis = rng.standard_normal((n, side_rank))
+    side = basis @ rng.standard_normal((side_rank, side_rank + 1))
+    plane = np.linalg.qr(rng.standard_normal((n, n)))[0][:, : n - 1]
+    rest = plane @ rng.standard_normal((n - 1, n))
+    return Frame(np.hstack([side, rest]))
+
+
+class TestA0ZerosFromKernelStarts:
+    """Frames that are not phase retrievable: a0 (n >= 3) reaches ~0 with
+    no random start, and the criteria agree."""
+
+    @pytest.mark.parametrize(
+        "n, side_rank", [(3, 1), (4, 1), (4, 2), (5, 2), (5, 3)],
+    )
+    def test_low_rank_violating_side(self, n, side_rank):
+        for seed in range(3):
+            fr = _frame_with_violating_side(n, side_rank, 60 + seed)
+            assert fr.rank() == n
+            val, _, _ = a0(fr, A0Config(restarts=0))
+            assert not a0_is_positive(fr, val)
+            cert = phase_retrievable(fr)
+            assert not cert.retrievable
+            assert cert.retrievable == complement_property(fr)[0]
+
+    @pytest.mark.parametrize("n, m", [(4, 2), (3, 1)])
+    def test_fewer_columns_than_dimensions(self, n, m):
+        fr = random_frame(n, m, 7)
+        val, _, _ = a0(fr)
+        assert val == pytest.approx(0.0, abs=1e-12)
+        assert not phase_retrievable(fr).retrievable
+        assert not complement_property(fr)[0]
 
 
 class TestPhaseRetrievable:

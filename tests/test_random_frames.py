@@ -110,7 +110,7 @@ class TestTauScalingStudy:
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
-            tau_scaling_study([30], k=15, trials=1, seed=0, budget=1000)
+            tau_scaling_study([30], k=15, trials=1, seed=0)
 
 
 class TestRedundancyStabilityStudy:

@@ -13,7 +13,7 @@ from phasestab import (
     A0Config, Frame, a0, gram, injectivity, lambdaF, load_frame, r_matrix, subsets, sym_eig,
 )
 from phasestab.cli import FIXTURES
-from phasestab.injectivity import A0_TOL, SPEC_ROWS, STRUCTURED_BUDGET
+from phasestab.injectivity import A0_TOL, SPEC_ROWS
 from phasestab.robustness import LAMBDA_MAX_ITERS, LAMBDA_RESTARTS, LAMBDA_TOL
 
 CONFIGS = [A0Config(), A0Config(restarts=8, max_iters=60), A0Config(seed=7)]
@@ -82,7 +82,7 @@ def _a0_loop(frame, cfg):
     every start it ran."""
     rng = np.random.default_rng(np.random.Philox(key=[cfg.seed, 0x61_30]))
     starts = list(np.eye(frame.dim))
-    starts.extend(subsets.kernel_starts(frame.matrix, 2**frame.count <= STRUCTURED_BUDGET))
+    starts.extend(subsets.kernel_starts(frame.matrix))
     evals, evecs = sym_eig(gram(frame))
     starts.append(evecs[:, -1])
     for _ in range(cfg.restarts):
@@ -144,7 +144,8 @@ def _assert_same_as_loops(frame, cfg):
         _assert_bits(a0(frame, cfg), _a0_loop(frame, cfg)[0])
         _assert_bits(lambdaF(frame), _lambdaF_loop(frame))
     else:
-        # n = 2: the polar grid picks x; the value and u come from one stacked solve
+        # n = 2: the closed forms pick x; a0's value and u come from one
+        # stacked solve, Lambda_F's value from the quartic sum at x
         val, x_star, u_star = a0(frame, cfg)
         _assert_bits((val, u_star), _lambda_min_r_loop(frame, x_star))
         lam, x_lam = lambdaF(frame)

@@ -325,23 +325,12 @@ def _fixture(name):
 
 
 def _starts_loop(mat):
-    """a0's structured starts one subset at a time: a matrix_rank verdict,
-    then the full SVD of F_S^T."""
+    """a0's structured starts one (n-1)-subset at a time: the last right
+    singular vector of the full SVD of F_S^T."""
     n, m = mat.shape
-    if 2**m <= injectivity.STRUCTURED_BUDGET:
-        rows = (
-            list(indices(bits, m))
-            for bits in range(1, 1 << m)
-            if matrix_rank(mat[:, list(indices(bits, m))]) < n
-        )
-    else:
-        rows = (list(S) for S in itertools.combinations(range(m), n - 1))
+    rows = (list(S) for S in itertools.combinations(range(m), n - 1))
     starts = [np.linalg.svd(mat[:, cols].T, full_matrices=True)[2][-1] for cols in rows]
     return np.array(starts).reshape(-1, n)
-
-
-def _engine_starts(mat):
-    return subsets.kernel_starts(mat, 2 ** mat.shape[1] <= injectivity.STRUCTURED_BUDGET)
 
 
 def _lower_bound_loop(mat, bits):
@@ -409,9 +398,8 @@ def _same_bits(a, b):
 
 @st.composite
 def start_frames(draw):
-    """n in 2..4, m on both sides of the 2^m <= 4096 switch (m <= 12 or
-    13 <= m <= 15), Gaussian or with one to three columns repeated up to a
-    scale."""
+    """n in 2..4, m from n + 1 to 15, Gaussian or with one to three columns
+    repeated up to a scale."""
     n = draw(st.integers(2, 4))
     m = draw(st.sampled_from([n + 1, 7, 11, 12, 13, 15]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -426,12 +414,12 @@ class TestEngineAgainstLoops:
     @pytest.mark.parametrize("name", FIXTURES)
     def test_structured_starts_on_fixtures(self, name):
         mat = _fixture(name)
-        assert _same_bits(_engine_starts(mat), _starts_loop(mat))
+        assert _same_bits(subsets.kernel_starts(mat), _starts_loop(mat))
 
     @given(start_frames())
     @settings(max_examples=25, deadline=None)
     def test_structured_starts_bit_identical(self, mat):
-        assert _same_bits(_engine_starts(mat), _starts_loop(mat))
+        assert _same_bits(subsets.kernel_starts(mat), _starts_loop(mat))
 
     def test_a0_makes_no_rank_call(self, monkeypatch):
         calls = []

@@ -93,10 +93,7 @@ def simulate_measurements(
 
 def fisher_info(frame: Frame, x: np.ndarray, sigma: float) -> np.ndarray:
     """Fisher information I(x) = (4 / sigma^2) R(x) for the squared model."""
-    if not sigma > 0:
-        raise ValidationError("sigma must be positive")
-    if not np.isfinite(sigma):
-        raise ValidationError(f"sigma must be finite, got {sigma!r}")
+    NoiseModel(sigma)  # the one check of sigma
     x = _check_vector(frame, x)
     if not np.any(x):
         raise ValidationError("Fisher information needs x != 0")
@@ -108,8 +105,7 @@ def fisher_empirical(
 ) -> np.ndarray:
     """Monte Carlo E[score score^T] with the analytic score of the squared
     model; converges to fisher_info at the usual 1/sqrt(trials) rate."""
-    if not sigma > 0:
-        raise ValidationError("sigma must be positive")
+    NoiseModel(sigma)  # the one check of sigma
     x = _check_vector(frame, x)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -121,26 +117,26 @@ def fisher_empirical(
     return scores.T @ scores / trials
 
 
-def _crlb_matrix(frame: Frame, x: np.ndarray, sigma: float) -> np.ndarray:
-    """I(x)^-1 = (sigma^2/4) R(x)^-1 for a checked x; raises SingularFisherError."""
+def _crlb_matrix(frame: Frame, x: np.ndarray, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """(I(x), I(x)^-1) for a checked x; raises SingularFisherError."""
     info = fisher_info(frame, x, sigma)
     evals, _ = sym_eig(info)
     if evals[-1] <= 1e-12 * max(evals[0], 1e-300):
         raise SingularFisherError(
             f"Fisher information singular at x={x.tolist()}: lambda_min={evals[-1]!r}"
         )
-    return np.linalg.inv(info)
+    return info, np.linalg.inv(info)
 
 
 def crlb(
     frame: Frame, x: np.ndarray, sigma: float, a0_cfg: A0Config | None = None
 ) -> dict:
-    """CRLB matrix (sigma^2/4) R(x)^{-1}, its trace, and the MSE upper bound
-    n sigma^2 / (4 a0 ||x||^2) for efficient estimators.  For n >= 3, a0 is
-    the search value, an upper estimate of the true a0, so mse_upper may
-    fall below the true bound: it is not a certified upper bound."""
+    """I(x) ("fisher"), the CRLB matrix (sigma^2/4) R(x)^{-1}, its trace, and
+    the MSE upper bound n sigma^2 / (4 a0 ||x||^2) for efficient estimators.
+    For n >= 3, a0 is the search value, an upper estimate of the true a0, so
+    mse_upper may fall below the true bound: it is not certified."""
     x = _check_vector(frame, x)
-    matrix = _crlb_matrix(frame, x, sigma)
+    info, matrix = _crlb_matrix(frame, x, sigma)
     a0_val, _, _ = a0_search(frame, a0_cfg)
     xsq = float(np.dot(x, x))
     mse_upper = (
@@ -149,6 +145,7 @@ def crlb(
         else frame.dim * sigma**2 / (4.0 * a0_val * xsq)
     )
     return {
+        "fisher": info,
         "matrix": matrix,
         "trace": float(np.trace(matrix)),
         "mse_upper": float(mse_upper),
@@ -387,7 +384,7 @@ def mse_monte_carlo(
         raise ValidationError("trials must be >= 1")
     noise = NoiseModel(sigma)
     ls_cfg = ls_cfg or LSConfig(restarts=4)
-    crlb_trace = float(np.trace(_crlb_matrix(frame, x, sigma)))
+    crlb_trace = float(np.trace(_crlb_matrix(frame, x, sigma)[1]))
     x_canon = canonicalize(x)
 
     errors = np.empty(trials)

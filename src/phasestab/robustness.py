@@ -48,9 +48,7 @@ DEFAULT_SAMPLE_BUDGET = 512
 LAMBDA_RESTARTS = 32           # seeded random starts of the Lambda_F ascent
 LAMBDA_MAX_ITERS = 200
 LAMBDA_TOL = 1e-12             # ascent stops below this gradient norm
-QEPS_GRID_POINTS = 400         # steps t per line search
 QEPS_REFINE_ROUNDS = 60        # hill-climb rounds on the winning direction
-QEPS_T_CAP = 1e6               # cap on the step range when omega = 0
 
 
 @dataclass
@@ -446,45 +444,65 @@ def _structured_directions(frame: Frame, analysis: FrameAnalysis) -> list[np.nda
     return dirs
 
 
-def _best_t_along(
-    frame: Frame, x: np.ndarray, u: np.ndarray, eps: float, t_max: float, t_floor: float = 0.0
-) -> tuple[float, float]:
-    """Best feasible step along y = x + t u: returns (d(x,y), t).
+def _line_maxima(
+    frame: Frame, x: np.ndarray, dirs: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(d, t) per unit row u of dirs: the largest d(x, x + t u) over t >= 0
+    with ||alpha(x) - alpha(x + t u)|| <= eps, exact up to rounding.
 
-    t_floor is a step known to be feasible (eps / sqrt(B) always is, by the
-    upper Lipschitz bound); a geometric sub-grid anchored there keeps tiny
-    feasible regions visible when eps << t_max.
+    With c = F^T x and e = F^T u, the squared gap g(t) is one quadratic per
+    piece between sign changes t_k = -c_k / e_k > 0 of c + t e, with leading
+    coefficient ||e||^2 > 0 on a spanning frame: past t_k the term (e_k t)^2
+    becomes (e_k t + 2 c_k)^2.  The roots of g = eps^2 bound the feasible
+    intervals, and d(t) = min(t, ||2x + t u||) peaks at an interval end or at
+    t = -||x||^2 / <x, u>.  Candidates must pass the recheck's arithmetic; an
+    end that fails by rounding steps into its interval by 1, 2, 4, ... ulps
+    of |t| + ||x|| until it passes or leaves the interval.
     """
-    ax = np.abs(frame.matrix.T @ x)
+    mat = frame.matrix
+    c, e = mat.T @ x, dirs @ mat
+    k, m = e.shape
+    breaks = np.divide(-c, e, out=np.full_like(e, np.inf), where=c * e < 0)
+    order = np.argsort(breaks, axis=1)
+    edges, es = np.take_along_axis(breaks, order, 1), np.take_along_axis(e, order, 1)
+    flipped = np.where(edges < np.inf, c[order], 0.0)  # c_k of each sign change, in order
+    edges = np.hstack([np.zeros((k, 1)), edges, np.full((k, 1), np.inf)])
+    a = np.sum(e * e, axis=1)[:, None]
+    t0 = -2.0 * np.cumsum(np.hstack([np.zeros((k, 1)), flipped * es]), axis=1) / a
+    resid = es[:, None, :] * t0[:, :, None] + np.where(
+        np.tri(m + 1, m, -1, dtype=bool), 2.0 * flipped[:, None, :], 0.0
+    )
+    gmin = np.sum(resid * resid, axis=2)  # lowest value per piece; C - B^2/4A would cancel
+    half = np.sqrt(np.where(gmin <= eps * eps, (eps * eps - gmin) / a, np.nan))
+    lo, hi = np.maximum(t0 - half, edges[:, :-1]), np.minimum(t0 + half, edges[:, 1:])
+    xu = (dirs @ x)[:, None]
+    tc = np.divide(-np.dot(x, x), xu, out=np.full_like(xu, np.nan), where=xu < 0)
 
-    def feasible_d(ts: np.ndarray) -> np.ndarray:
-        # d(x, x + t u) per step t, -inf where ||alpha(x) - alpha(y)|| > eps
-        ys = x[None, :] + ts[:, None] * u[None, :]
-        ays = np.abs(ys @ frame.matrix)
-        feas = np.linalg.norm(ays - ax[None, :], axis=1) <= eps
-        dvals = np.minimum(
-            np.linalg.norm(ys - x[None, :], axis=1), np.linalg.norm(ys + x[None, :], axis=1)
-        )
-        return np.where(feas, dvals, -np.inf)
+    ts, lo, hi = np.hstack([lo, hi, tc]), np.hstack([lo, lo, tc]), np.hstack([hi, hi, tc])
+    rows, cols = np.nonzero(lo <= hi)
+    side = np.repeat([1.0, -1.0, 0.0], [m + 1, m + 1, 1])[cols]
+    t, lo, hi, ax = ts[rows, cols], lo[rows, cols], hi[rows, cols], np.abs(c)
 
-    ts = np.linspace(0.0, t_max, QEPS_GRID_POINTS)[1:]
-    if 0.0 < t_floor < t_max:
-        ts = np.concatenate([ts, np.geomspace(t_floor * 1e-2, t_max, QEPS_GRID_POINTS)])
-    dvals = feasible_d(ts)
-    k = int(np.argmax(dvals))
-    if dvals[k] == -np.inf:
-        return 0.0, 0.0
-    best_d, best_t = float(dvals[k]), float(ts[k])
-    # zoom around the winner; cover the neighbor gap of either sub-grid
-    width = max(t_max / (QEPS_GRID_POINTS - 1), 0.05 * best_t)
-    for _ in range(6):
-        local = np.linspace(max(best_t - width, 0.0), best_t + width, 33)[1:]
-        dv = feasible_d(local)
-        k = int(np.argmax(dv))
-        if dv[k] > best_d:
-            best_d, best_t = float(dv[k]), float(local[k])
-        width /= 16.0
-    return best_d, best_t
+    def passes(idx: np.ndarray) -> np.ndarray:
+        # analysis_map and the norm of the recheck: per row one matrix-vector
+        # product and one dot product, stacked
+        ys = x + t[idx, None] * dirs[rows[idx]]
+        diff = np.abs(np.matmul(mat.T, ys[:, :, None]))[:, :, 0] - ax
+        return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]))[:, 0, 0] <= eps
+
+    ok = passes(np.arange(t.size))
+    step = np.ldexp(np.abs(t) + np.linalg.norm(x), -52)
+    while (idx := np.flatnonzero(~ok & (side != 0) & (lo <= t) & (t <= hi))).size:
+        t[idx] += side[idx] * step[idx]
+        step[idx] *= 2.0
+        ok[idx] = passes(idx)
+
+    ys = x + t[:, None] * dirs[rows]
+    dist = np.minimum(np.linalg.norm(ys - x, axis=1), np.linalg.norm(ys + x, axis=1))
+    best = np.full(ts.shape, -np.inf)
+    best[rows, cols], ts[rows, cols] = np.where(ok, dist, -np.inf), t
+    j = np.argmax(best, axis=1)
+    return best[np.arange(k), j], ts[np.arange(k), j]
 
 
 def q_eps_estimate(
@@ -494,48 +512,34 @@ def q_eps_estimate(
     cfg: QepsConfig | None = None,
     analysis: FrameAnalysis | None = None,
 ) -> StabilityReport:
-    """Lower-bound estimate of Q_eps(x) by multi-start feasible line searches.
-
-    Searches directions u and steps t for y = x + t u keeping
-    ||alpha(x) - alpha(y)|| <= eps; structured starts (lowest-eigenvector and
-    kernel directions from the extremal constructions) make the theory values
-    reachable.  Every reported witness is verified feasible, so the estimate
-    is a true lower bound.  Delta, omega and tau come from `analysis`.
+    """Lower bound on Q_eps(x): exact line maxima (`_line_maxima`) along the
+    structured directions (lowest-eigenvector and kernel directions of the
+    extremal constructions, both signs) and cfg.restarts seeded ones, then
+    QEPS_REFINE_ROUNDS hill-climb steps around the winner.  Each line is
+    exact; the supremum over directions is not, so Q_estimate is a lower
+    bound, and every witness passes the feasibility recheck.  Delta, omega
+    and tau come from `analysis`.  Frames whose columns do not span R^n
+    raise NotAFrameError: there Q_eps(x) is infinite.
     """
     cfg = cfg or QepsConfig()
     x = _check_vector(frame, x)
     _check_eps(eps)
     if not np.any(x):
         raise ValidationError("x must be nonzero")
+    if frame.rank() < frame.dim:
+        raise NotAFrameError("the columns do not span R^n: Q_eps(x) is unbounded")
 
     analysis = analysis or FrameAnalysis(frame, seed=cfg.seed)
     delta_val, omega_val = analysis.delta[0], analysis.omega[0]
-    a_lower, b_upper = frame_bounds(frame)
-
-    xnorm = float(np.linalg.norm(x))
-    # Steps beyond ~2||x|| + eps/omega cannot help unless the frame is degenerate.
-    if omega_val > 0:
-        t_max = 4.0 * xnorm + 4.0 * eps / omega_val
-    else:
-        t_max = min(QEPS_T_CAP, 4.0 * xnorm + 100.0 * eps)
-    t_floor = eps / np.sqrt(b_upper) if b_upper > 0 else 0.0
+    a_lower, _ = frame_bounds(frame)
 
     rng = np.random.default_rng(np.random.Philox(key=[cfg.seed, 0x9E_95]))
-    dirs = []
-    for u in _structured_directions(frame, analysis):
-        dirs.extend((u, -u))
-    for _ in range(cfg.restarts):
-        dirs.append(rng.standard_normal(frame.dim))
-
-    best_d, best_y = 0.0, x.copy()
-    for u in dirs:
-        norm = np.linalg.norm(u)
-        if norm == 0:
-            continue
-        u = u / norm
-        d, t = _best_t_along(frame, x, u, eps, t_max, t_floor)
-        if d > best_d:
-            best_d, best_y = d, x + t * u
+    dirs = [s * u for u in _structured_directions(frame, analysis) for s in (1.0, -1.0)]
+    dirs = np.vstack([dirs, rng.standard_normal((cfg.restarts, frame.dim))])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    ds, ts = _line_maxima(frame, x, dirs, eps)
+    i = int(np.argmax(ds))  # the first largest value
+    best_d, best_y = float(ds[i]), x + ts[i] * dirs[i]
 
     # Hill-climb on the winning direction.
     if best_d > 0:
@@ -544,13 +548,13 @@ def q_eps_estimate(
         for _ in range(QEPS_REFINE_ROUNDS):
             cand = u + step * rng.standard_normal(frame.dim)
             cand /= np.linalg.norm(cand)
-            d, t = _best_t_along(frame, x, cand, eps, t_max, t_floor)
+            (d,), (t,) = _line_maxima(frame, x, cand[None], eps)
             if d > best_d:
-                best_d, best_y, u = d, x + t * cand, cand
+                best_d, best_y, u = float(d), x + t * cand, cand
             else:
                 step *= 0.9
 
-    # Feasibility recheck (defensive; grid candidates were already feasible).
+    # Feasibility recheck (defensive; line candidates were already checked).
     gap = float(np.linalg.norm(analysis_map(frame, x) - analysis_map(frame, best_y)))
     if gap > eps * (1 + 1e-12):
         best_y, best_d = x.copy(), 0.0
@@ -598,11 +602,13 @@ def q_eps_brackets(frame: Frame, eps: float, analysis: FrameAnalysis | None = No
 
 
 def omega_witness_point(frame: Frame, eps: float) -> np.ndarray:
-    """The x from the small-eps extremal construction: Q_eps(x) ~ min(1/eps, 1/omega).
+    """The x of the small-eps extremal construction: Q_eps(x) >= min(1/eps, 1/omega).
 
     Builds w1 = t v1 along the lowest singular direction of the omega-achieving
     subset and w2 along a kernel vector of the deficient complement, scaled so
-    ||w1 + w2|| = 2.
+    ||w1 + w2|| = 2.  y = x - w1 is feasible with d(x, y) = t = min(eps/omega, 1)
+    on the line along -v1, a structured direction of q_eps_estimate, whose
+    line maximum is exact.
     """
     omega_val, s_omega, _ = omega(frame, mode="exact")
     if omega_val == 0.0:

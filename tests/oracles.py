@@ -118,6 +118,35 @@ def tau_bruteforce(F):
     return best
 
 
+def line_max_grid(F, x, u, eps, points=100_001):
+    """Dense-grid max of d(x, x + t u) over t >= 0 with
+    ||alpha(x) - alpha(x + t u)|| <= eps, for a unit u and spanning columns.
+
+    Feasible steps satisfy t ||F^T u|| - 2 ||F^T x|| <= eps, so the grid
+    covers [0, (eps + 2 ||F^T x||) / ||F^T u||] with `points` linear and
+    `points` geometric steps, the latter down to 1e-16 of that range.  A step
+    counts as feasible only when its gap is below eps by more than a bound
+    on the rounding of the gap, so the value never rests on rounding luck.
+    """
+    x, u = np.asarray(x, float), np.asarray(u, float)
+    n, m = F.shape
+    ax = np.abs(F.T @ x)
+    top = (eps + 2.0 * np.linalg.norm(ax)) / np.linalg.norm(F.T @ u)
+    ts = np.concatenate([np.linspace(0.0, top, points), np.geomspace(top * 1e-16, top, points)])
+    best = 0.0
+    for chunk in np.array_split(ts, max(1, ts.size // 20_000)):
+        ys = x + chunk[:, None] * u
+        gaps = np.linalg.norm(np.abs(ys @ F) - ax, axis=1)
+        rounding = 4 * (n + m + 2) * 2.0**-53 * (
+            np.linalg.norm((np.abs(x) + np.abs(ys)) @ np.abs(F), axis=1) + eps
+        )
+        d = np.minimum(np.linalg.norm(ys - x, axis=1), np.linalg.norm(ys + x, axis=1))
+        feasible = gaps <= eps - rounding
+        if feasible.any():
+            best = max(best, float(d[feasible].max()))
+    return best
+
+
 def dist_d1_nuclear(x, y):
     """Nuclear norm of xx^T - yy^T computed from its SVD."""
     M = np.outer(x, x) - np.outer(y, y)

@@ -140,6 +140,18 @@ class TestStability:
         assert out == ""
 
 
+    def test_non_spanning_frame_exit_2(self, capsys, tmp_path):
+        # columns e1, e2 in R^3: e3 is invisible to the frame, so Q_eps(x) is
+        # infinite and no finite estimate is printed
+        path = tmp_path / "plane.json"
+        path.write_text(json.dumps({"dim": 3, "count": 2, "columns": [[1, 0, 0], [0, 1, 0]]}))
+        code = main(["stability", str(path), "--x", "1,0.5,0.2", "--eps", "0.1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "argv",
@@ -218,6 +230,19 @@ class TestCrlb:
         doc = json.loads(out)
         validate(doc, "crlb")
         assert doc["crlb_trace"] <= doc["mse_upper"] + 1e-12
+
+    def test_fisher_matrix_built_once(self, capsys, monkeypatch):
+        calls = []
+        original = estimation.fisher_info
+        monkeypatch.setattr(
+            estimation, "fisher_info", lambda *args: calls.append(1) or original(*args)
+        )
+        code, out = run_cli(
+            ["crlb", "--fixture", "mb3", "--x", "0.6,0.8", "--sigma", "0.1"], capsys
+        )
+        assert code == 0 and len(calls) == 1
+        frame = phasestab.load_frame(str(resources.files("phasestab.fixtures") / "mb3.json"))
+        assert json.loads(out)["fisher"] == original(frame, np.array([0.6, 0.8]), 0.1).tolist()
 
     def test_singular_fisher_exit_2(self, capsys):
         code, _ = run_cli(

@@ -123,6 +123,18 @@ class TestFisher:
         )
         assert out["trace"] <= out["mse_upper"] + 1e-12
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_sigma_checked_alike(self, sigma):
+        x = np.array([0.6, 0.8])
+        calls = (
+            lambda: NoiseModel(sigma),
+            lambda: fisher_info(MB3, x, sigma),
+            lambda: fisher_empirical(MB3, x, sigma, trials=10, seed=0),
+        )
+        for call in calls:
+            with pytest.raises(ValidationError, match=f"sigma must be .*, got {sigma!r}"):
+                call()
+
     def test_singular_fisher_raises(self):
         # standard basis in R^2: R(e1) is rank one
         with pytest.raises(SingularFisherError):

@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from phasestab import (
     frame_bounds,
     lambdaF,
     lipschitz_constants,
+    load_frame,
     mercedes_benz_frame,
     omega,
     omega_witness_point,
@@ -31,6 +33,7 @@ from phasestab import (
     v_ratios_batch,
     worst_case_witness,
 )
+from phasestab.robustness import _line_maxima
 
 MB3 = mercedes_benz_frame()
 SQ2INV = math.sqrt(0.5)
@@ -38,6 +41,20 @@ SQ2INV = math.sqrt(0.5)
 
 def random_frame(n, m, seed):
     return Frame(np.random.default_rng(seed).standard_normal((n, m)))
+
+
+def unit_frame(rng, n, m):
+    mat = rng.standard_normal((n, m))
+    return Frame(mat / np.linalg.norm(mat, axis=0))
+
+
+def fixture(name):
+    return load_frame(str(resources.files("phasestab.fixtures") / f"{name}.json"))
+
+
+def gap(frame, x, y):
+    """||alpha(x) - alpha(y)|| in the arithmetic of q_eps_estimate's recheck."""
+    return float(np.linalg.norm(analysis_map(frame, x) - analysis_map(frame, y)))
 
 
 class TestSubsetConstants:
@@ -213,6 +230,95 @@ class TestQeps:
         r1 = q_eps_estimate(MB3, x, 0.2)
         r2 = q_eps_estimate(MB3, 3.0 * x, 0.6)
         assert r2.Q_estimate == pytest.approx(r1.Q_estimate, rel=1e-6)
+
+
+    def test_omega_witness_point_reaches_inverse_omega_n3(self):
+        # full spark 3 x 6, eps < tau: y = x - w1 lies on the line along -v1,
+        # a structured direction, at d = eps / omega, and q_eps = 1/omega
+        mat = np.random.default_rng(43).standard_normal((3, 6))
+        fr = Frame(mat / np.linalg.norm(mat, axis=0))
+        w = omega(fr)[0]
+        eps = 0.5 * tau(fr)
+        rep = q_eps_estimate(fr, omega_witness_point(fr, eps), eps)
+        assert rep.Q_estimate >= 1.0 / w - 1e-3
+        assert rep.Q_estimate == pytest.approx(1.0 / w, rel=1e-6)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6])
+    def test_basis3_sign_flip(self, eps):
+        # flipping x_i leaves alpha(x) unchanged: y = x - 2 x_i e_i is
+        # feasible for every eps, at d = 2 min(|x_i|, ||x_-i||)
+        x = np.array([0.6, 0.48, 0.64])
+        rep = q_eps_estimate(standard_basis_frame(3), x, eps)
+        flips = [2.0 * min(abs(x[i]), np.linalg.norm(np.delete(x, i))) for i in range(3)]
+        assert rep.Q_estimate >= max(flips) / eps
+
+    def test_non_spanning_frame_raises(self):
+        # e3 is orthogonal to every column: y = x + t e3 is feasible for all t
+        with pytest.raises(NotAFrameError):
+            q_eps_estimate(Frame(np.eye(3)[:, :2]), np.array([1.0, 0.5, 0.2]), 0.1)
+
+    def test_seeded_cases_within_brackets(self):
+        # fixtures and seeded unit-column frames: the estimate stays under
+        # 1/Delta and every witness passes the recheck with Q eps = d(x, y)
+        rng = np.random.default_rng(12)
+        frames = [fixture(name) for name in ("mb3", "basis2", "basis3", "repeated", "gauss_4x11")]
+        frames += [unit_frame(rng, n, m) for n, m in ((2, 4), (3, 5), (3, 9), (4, 7), (5, 9))]
+        cfg = QepsConfig(restarts=64)
+        cases = 0
+        for fr in frames:
+            for eps in [*rng.uniform(0.02, 0.2, size=7), 1e-6, 1e-9, 10.0]:
+                x = rng.standard_normal(fr.dim)
+                rep = q_eps_estimate(fr, x, eps, cfg)
+                y = rep.witness[2]
+                assert rep.Q_estimate <= rep.bracket[1] * (1 + 1e-9)
+                assert gap(fr, x, y) <= eps
+                assert rep.Q_estimate * eps == pytest.approx(dist_d(x, y), rel=1e-9)
+                cases += 1
+        assert cases == 100
+
+
+class TestLineMaxima:
+    """Exact line maxima against the dense grid of `oracles.line_max_grid`."""
+
+    @staticmethod
+    def lines():
+        rng = np.random.default_rng(11)
+        for case in range(12):
+            n = 2 + case % 3
+            mat = unit_frame(rng, n, n + 2 + case % 4).matrix.copy()
+            x = rng.standard_normal(n)
+            if case % 3 == 1:
+                mat[:, -1] = mat[:, 0]  # a duplicated column
+            if case % 3 == 2:
+                mat[:, 0], x[0] = np.eye(n)[0], 0.0  # c_0 = 0: a sign change at t = 0
+            us = rng.standard_normal((6, n))
+            yield Frame(mat), x, us / np.linalg.norm(us, axis=1, keepdims=True)
+        # basis3: along -e_1 a sign flip holds a narrow interval near t = 1.2
+        us = np.vstack([-np.eye(3)[0], rng.standard_normal((2, 3))])
+        yield standard_basis_frame(3), np.array([0.6, 0.48, 0.64]), us / np.linalg.norm(us, axis=1, keepdims=True)
+
+    def test_never_below_dense_grid(self):
+        checked = 0
+        for fr, x, us in self.lines():
+            for eps, u in zip((1e-12, 1e-9, 1e-6, 1e-3, 0.1, 10.0), us):
+                (d,), (t,) = _line_maxima(fr, x, u[None], eps)
+                y = x + t * u
+                assert gap(fr, x, y) <= eps
+                assert d == pytest.approx(dist_d(x, y), rel=1e-12)
+                assert d >= oracles.line_max_grid(fr.matrix, x, u, eps) * (1 - 1e-9)
+                checked += 1
+        assert checked == 12 * 6 + 3
+
+    @pytest.mark.parametrize("name", ["mb3", "gauss_4x11"])
+    @pytest.mark.parametrize("eps", [1e-9, 1e-12])
+    def test_tiny_eps_witness_passes_recheck(self, name, eps):
+        # the recheck would reset a failing witness to y = x, Q = 0; every
+        # line holds d >= eps / sqrt(B) up to rounding
+        fr = fixture(name)
+        x = np.random.default_rng(5).standard_normal(fr.dim)
+        rep = q_eps_estimate(fr, x, eps, QepsConfig(restarts=16))
+        assert gap(fr, x, rep.witness[2]) <= eps
+        assert rep.Q_estimate >= (1 - 1e-3) / math.sqrt(frame_bounds(fr)[1])
 
 
 class TestWorstCaseWitness:

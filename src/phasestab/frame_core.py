@@ -68,7 +68,9 @@ class Frame:
         return float(np.max(np.linalg.norm(self.matrix, axis=0)))
 
     def rank(self) -> int:
-        return matrix_rank(self.matrix)
+        if "_rank" not in self.__dict__:  # the matrix is read-only: one rank serves
+            object.__setattr__(self, "_rank", matrix_rank(self.matrix))
+        return self._rank
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,7 @@ from .frame_core import (
 # the same way the exact rank-based criteria do.
 A0_REL_TOL = 1e-12
 
-COMPLEMENT_BUDGET_M = 24          # 2^(m-1) partitions enumerated up to here
-FULL_SPARK_BUDGET = 10_000_000    # cap on C(m, n)
+FULL_SPARK_BUDGET = 10_000_000    # cap on C(m, n): full spark, complement property, exact omega
 A0_TOL = 1e-10                    # a0 descent stops below this gradient norm or gain
 SPEC_ROWS = 64                    # rows per speculative Armijo call: one call's fixed
                                   # cost is about that of solving this many rows
@@ -72,19 +71,21 @@ class Certificate:
         }
 
 
+def _check_subset_budget(frame: Frame, what: str) -> None:
+    n, m = frame.dim, frame.count
+    if math.comb(m, n) > FULL_SPARK_BUDGET:
+        raise BudgetExceededError(f"{what} infeasible: C({m},{n}) > {FULL_SPARK_BUDGET}")
+
+
 def complement_property(frame: Frame) -> tuple[bool, SubsetMask | None]:
     """Exact check that every partition (S, S^c) leaves one side spanning R^n.
 
-    Enumerates the 2^(m-1) partitions whose S omits the last index (S and S^c
-    are interchangeable) in increasing bitmask order, with the batched rank
-    verdict of `subsets.spans`; the witness on failure is the smallest
-    violating bitmask.
+    Checks the sets H_T^c of `subsets.first_violating_partition`, polynomial
+    in m, up to FULL_SPARK_BUDGET n-subsets.  The witness on failure is the
+    smallest violating bitmask S below 2^(m-1) (S and S^c interchange).
     """
     m = frame.count
-    if m > COMPLEMENT_BUDGET_M:
-        raise BudgetExceededError(
-            f"exact complement check infeasible: m={m} > {COMPLEMENT_BUDGET_M}"
-        )
+    _check_subset_budget(frame, "exact complement check")
     bits = subsets.first_violating_partition(frame.matrix)
     return (True, None) if bits is None else (False, SubsetMask(bits, m))
 
@@ -98,10 +99,7 @@ def full_spark(frame: Frame) -> tuple[bool, SubsetMask | None]:
     n, m = frame.dim, frame.count
     if m < n:
         return False, SubsetMask.from_indices(range(m), m)
-    if math.comb(m, n) > FULL_SPARK_BUDGET:
-        raise BudgetExceededError(
-            f"full spark enumeration infeasible: C({m},{n}) > {FULL_SPARK_BUDGET}"
-        )
+    _check_subset_budget(frame, "full spark enumeration")
     idx = subsets.first_deficient(frame.matrix)
     if idx is None:
         return True, None

@@ -8,6 +8,7 @@ for m = r0 * n with r0 > 2.  Every row is reproducible from (spec, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -27,13 +28,10 @@ class EnsembleSpec:
     m: int
     scale: str          # unit_columns | one_over_sqrt_n
     seed: int
-    trials: int = 1
 
     def __post_init__(self):
         if self.m < self.n:
             raise ValidationError(f"need m >= n, got n={self.n}, m={self.m}")
-        if self.trials < 1:
-            raise ValidationError("trials must be >= 1")
         if self.scale not in ("unit_columns", "one_over_sqrt_n"):
             raise ValidationError(f"unknown scale {self.scale!r}")
 
@@ -114,7 +112,7 @@ def minimal_redundancy_study(
     m = 2n-1, with exponential and polynomial decay fits on the medians.
 
     Non-full-spark draws (measure zero) are discarded and redrawn; omega is
-    then the exact full-spark enumeration of `omega(mode="exact")`.  For
+    then the full-spark route of `omega(mode="exact")`.  For
     n <= 6 the identity Delta = omega is asserted by exhaustive enumeration.
     """
     _check_trials(trials)
@@ -129,14 +127,14 @@ def minimal_redundancy_study(
         m = 2 * n - 1
         values = []
         for trial in range(trials):
-            spec = EnsembleSpec(n=n, m=m, scale="unit_columns", seed=seed, trials=trials)
+            spec = EnsembleSpec(n=n, m=m, scale="unit_columns", seed=seed)
             frame = gaussian_frame(spec, trial)
             attempt = 0
             while not full_spark(frame)[0]:
                 redraws += 1
                 attempt += 1
                 frame = gaussian_frame(spec, trial + (attempt << 20))
-            omega_val, _ = subsets.omega_full_spark(frame.matrix)
+            omega_val, _ = subsets.omega_complements(frame.matrix, combinations(range(m), n - 1))
             if n <= 6:
                 delta_val, _, _ = delta_op(frame, mode="exact")
                 if abs(delta_val - omega_val) > 1e-10 * max(1.0, omega_val):
@@ -178,7 +176,7 @@ def tau_scaling_study(n_list: list[int], k: int, trials: int, seed: int) -> Stud
         m = n + k
         values = []
         for trial in range(trials):
-            spec = EnsembleSpec(n=n, m=m, scale="unit_columns", seed=seed, trials=trials)
+            spec = EnsembleSpec(n=n, m=m, scale="unit_columns", seed=seed)
             frame = gaussian_frame(spec, trial)
             tau_val = tau_op(frame)
             values.append(tau_val)
@@ -214,7 +212,7 @@ def redundancy_stability_study(
         m = int(round(r0 * n))
         deltas, omegas = [], []
         for trial in range(trials):
-            spec = EnsembleSpec(n=n, m=m, scale="one_over_sqrt_n", seed=seed, trials=trials)
+            spec = EnsembleSpec(n=n, m=m, scale="one_over_sqrt_n", seed=seed)
             frame = gaussian_frame(spec, trial)
             d_val, _, d_exact = delta_op(
                 frame,

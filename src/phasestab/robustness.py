@@ -35,11 +35,11 @@ from .frame_core import (
 from . import subsets
 from .injectivity import (
     A0Config,
+    _check_subset_budget,
     _matvecs,
     _sphere_descent,
     _unit_rows,
     a0 as a0_search,
-    full_spark,
 )
 
 EXACT_SUBSET_BUDGET = 1 << 18  # cap on 2^(m-1) for exhaustive Delta
@@ -185,26 +185,18 @@ def omega(
 ) -> tuple[float, SubsetMask, bool]:
     """omega = min sigma_n(F_S) over S whose complement does not span R^n.
 
-    Exact mode: under full spark only complements of size n-1 need checking
-    (sigma_n grows with S, so the minimum sits at maximal deficient S^c);
-    otherwise all 2^m subsets are enumerated up to the budget.  The witness
-    is the first subset in enumeration order, replaced only by a value more
-    than 1e-15 below it (`subsets.omega_full_spark`,
-    `subsets.omega_all_subsets`).  Sampled mode keeps the same tie-break.
+    Exact mode: sigma_n grows with S, so the minimum sits at a least such S,
+    an H_T^c (`subsets.hyperplane_complements`), up to FULL_SPARK_BUDGET
+    n-subsets; when no n-subset spans, omega = 0 at S = {}.  The witness is
+    the first candidate in combinations order of T, replaced only by a value
+    more than 1e-15 below it.  Sampled mode draws the T and keeps the same
+    tie-break.
     """
     n, m = frame.dim, frame.count
     if mode == "exact":
-        if full_spark(frame)[0]:
-            value, bits = subsets.omega_full_spark(frame.matrix)
-            return value, SubsetMask(bits, m), True
-        if 1 << m > EXACT_SUBSET_BUDGET:
-            raise BudgetExceededError(
-                f"exact omega infeasible for non-full-spark frame with m={m}"
-            )
-        found = subsets.omega_all_subsets(frame.matrix)
-        if found is None:
-            raise NotAFrameError("no rank-deficient complement found")
-        return found[0], SubsetMask(found[1], m), True
+        _check_subset_budget(frame, "exact omega")
+        value, bits = subsets.omega_min(frame.matrix, subsets.hyperplane_complements(frame.matrix))
+        return value, SubsetMask(bits, m), True
     if mode != "sampled":
         raise ValidationError(f"unknown omega mode {mode!r}")
     if budget < 1:

@@ -20,12 +20,16 @@ membership rows, with one batched LAPACK call per chunk:
   routine, batched, gives the loop's values bit for bit.
 - Kernel vectors (a0's starts, Q_eps's directions): the last right singular
   vector of F_S^T from its full SVD.
+- Hyperplane sets: H_T is an (n-1)-subset T with every column j whose
+  n-subset T + j fails the rank rule.  If the columns span R^n, every set
+  that does not span lies in some H_T, so the complement property and exact
+  omega need only the sets H_T^c, never the 2^m subsets.
 
 Enumeration orders and tie-breaks (the witnesses depend on them):
 
 - k-subsets come in `itertools.combinations(range(m), k)` order
   (lexicographic); `first_deficient` returns the first deficient n-subset.
-- Bitmask ranges come in increasing order; `first_violating_partition`
+- The H_T^c come in combinations order of T; `first_violating_partition`
   returns the smallest violating bitmask below 2^(m-1).
 - omega and sampled Delta keep the first subset in enumeration order and
   replace it only by a value below the incumbent minus OMEGA_SLACK (1e-15).
@@ -77,26 +81,9 @@ def chunked(rows: Iterable, k: int, n: int, cols: int | None = None) -> Iterator
         yield np.array(block, dtype=np.intp).reshape(len(block), k)
 
 
-def bit_ranges(stop: int, n: int, m: int) -> Iterator[np.ndarray]:
-    """0 .. stop-1 (bitmasks or row positions) in increasing order, as int64 chunks."""
-    lo = 0
-    for size in _chunk_sizes(n, m):
-        if lo >= stop:
-            return
-        hi = min(stop, lo + size)
-        yield np.arange(lo, hi, dtype=np.int64)
-        lo = hi
-
-
 def _stack(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """The blocks F_S for the rows of idx, stacked as (N, n, k)."""
     return np.ascontiguousarray(mat[:, idx].transpose(1, 0, 2))
-
-
-def _by_size(bits: np.ndarray, m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(positions, column indices) of the int64 bitmasks in bits, one group
-    per subset size; each row of column indices is increasing."""
-    return _by_rows((bits[:, None] >> np.arange(m)) & 1 == 1)
 
 
 def _by_rows(member: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -121,10 +108,10 @@ def full_rank(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return _rank_rule(np.linalg.svd(_stack(mat, idx), compute_uv=False), n)
 
 
-def spans(mat: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Rank verdict per bitmask (the empty set does not span)."""
-    out = np.zeros(len(bits), dtype=bool)
-    for pos, idx in _by_size(bits, mat.shape[1]):
+def spans(mat: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Rank verdict per membership row (the empty set does not span)."""
+    out = np.zeros(len(member), dtype=bool)
+    for pos, idx in _by_rows(member):
         out[pos] = full_rank(mat, idx)
     return out
 
@@ -172,11 +159,11 @@ def partition_bounds(mat: np.ndarray, masks: list[int]) -> np.ndarray:
     """A[S] + A[S^c] per bitmask S in masks, in chunks.  The bitmasks are
     Python ints, made into membership rows, so any m works."""
     n, m = mat.shape
-    member = np.array([[b >> j & 1 for j in range(m)] for b in masks], dtype=bool)
-    out = np.empty(len(masks))
-    for pos in bit_ranges(len(masks), n, m):
-        out[pos] = lower_bounds(mat, member[pos]) + lower_bounds(mat, ~member[pos])
-    return out
+    out = [np.empty(0)]
+    for rows in chunked(([b >> j & 1 for j in range(m)] for b in masks), m, n):
+        rows = rows == 1
+        out.append(lower_bounds(mat, rows) + lower_bounds(mat, ~rows))
+    return np.concatenate(out)
 
 
 class SlackMin:
@@ -216,18 +203,58 @@ def first_deficient(mat: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def _bits(member: np.ndarray) -> int:
+    """The bitmask of one membership row, as a Python int (any m works)."""
+    return sum(1 << int(j) for j in np.flatnonzero(member))
+
+
+def _complements(rows: Iterable, n: int, m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(index rows, membership rows of their complements) of the
+    (n-1)-element rows, in chunks."""
+    for comp in chunked(rows, n - 1, n, cols=m - n + 1):
+        keep = np.ones((len(comp), m), dtype=bool)
+        keep[np.arange(len(comp))[:, None], comp] = False
+        yield comp, keep
+
+
+def hyperplane_complements(mat: np.ndarray) -> Iterator[np.ndarray]:
+    """Membership rows of S = H_T^c, in chunks, for the (n-1)-subsets T in
+    combinations order (see the module docstring), from one rank pass over
+    the n-subsets; only the T inside a deficient n-subset are kept whole.  A
+    T whose H_T holds every column (rank below n-1) is left out; when that
+    leaves none (no n-subset spans R^n), the one row S = {} instead."""
+    n, m = mat.shape
+    extra: dict[tuple, list[int]] = {}
+    for idx in chunked(combinations(range(m), n), n, n):
+        for row in idx[~full_rank(mat, idx)].tolist():
+            for p, j in enumerate(row):
+                extra.setdefault(tuple(row[:p] + row[p + 1:]), []).append(j)
+    found = False
+    for comp, keep in _complements(combinations(range(m), n - 1), n, m):
+        for i, t in enumerate(map(tuple, comp.tolist()) if extra else ()):
+            if t in extra:
+                keep[i, extra[t]] = False
+        keep = keep[keep.any(axis=1)]
+        found |= len(keep) > 0
+        yield keep
+    if not found:
+        yield np.zeros((1, m), dtype=bool)
+
+
 def first_violating_partition(mat: np.ndarray) -> int | None:
     """The smallest bitmask S < 2^(m-1) such that neither S nor its
-    complement spans R^n, or None when the complement property holds."""
-    n, m = mat.shape
-    full = (1 << m) - 1
-    for bits in bit_ranges(1 << (m - 1), n, m):
-        bad = ~spans(mat, bits)
+    complement spans R^n, or None when the complement property holds: the
+    least violating H_T^c with m-1 in H_T, since S^c lies in some H_T and
+    H_T^c, inside S, does not span either.  All rows are read."""
+    m = mat.shape[1]
+    none = least = 1 << m  # above every bitmask
+    for member in hyperplane_complements(mat):
+        member = member[~member[:, m - 1]]
+        bad = ~spans(mat, member)
         # only a side that does not span needs its complement checked
-        bad[bad] = ~spans(mat, full ^ bits[bad])
-        if bad.any():
-            return int(bits[int(np.argmax(bad))])
-    return None
+        bad[bad] = ~spans(mat, ~member[bad])
+        least = min([least, *map(_bits, member[bad])])
+    return None if least == none else least
 
 
 def tau(mat: np.ndarray) -> float:
@@ -251,42 +278,25 @@ def kernel_starts(mat: np.ndarray) -> np.ndarray:
     return np.concatenate([np.empty((0, n))] + [kernel_vectors(mat, idx) for idx in rows])
 
 
+def omega_min(mat: np.ndarray, chunks: Iterable[np.ndarray]) -> tuple[float, int]:
+    """(min, witness bitmask) of sigma_n(F_S) over the membership rows S of
+    the chunks, in order, with omega's tie-break: exact omega over the
+    chunks of `hyperplane_complements`."""
+    best = SlackMin()
+    for member in chunks:
+        values = np.empty(len(member))
+        for pos, idx in _by_rows(member):
+            values[pos] = sigma_n(mat, idx)
+        best.scan(values, member)
+    return float(best.value), _bits(best.key)
+
+
 def omega_complements(mat: np.ndarray, rows: Iterable) -> tuple[float, int]:
     """(min, witness bitmask) of sigma_n(F_S) over the complements S of the
-    (n-1)-element index rows, in order, with omega's tie-break.  Bitmasks
-    are Python ints, so any m works."""
+    (n-1)-element index rows, in order, with omega's tie-break: omega of a
+    full-spark frame when the rows are all (n-1)-subsets."""
     n, m = mat.shape
-    best = SlackMin()
-    for comp in chunked(rows, n - 1, n, cols=m - n + 1):
-        keep = np.ones((len(comp), m), dtype=bool)
-        keep[np.arange(len(comp))[:, None], comp] = False
-        best.scan(sigma_n(mat, np.nonzero(keep)[1].reshape(len(comp), -1)), comp)
-    return float(best.value), ((1 << m) - 1) ^ sum(1 << int(j) for j in best.key)
-
-
-def omega_full_spark(mat: np.ndarray) -> tuple[float, int]:
-    """(omega, witness bitmask) for a full-spark frame with m >= n: the
-    minimum of sigma_n(F_S) over the complements S of the (n-1)-subsets,
-    taken in combinations order of the (n-1)-subsets."""
-    n, m = mat.shape
-    return omega_complements(mat, combinations(range(m), n - 1))
-
-
-def omega_all_subsets(mat: np.ndarray) -> tuple[float, int] | None:
-    """(omega, witness bitmask) over all 2^m subsets S whose complement does
-    not span R^n, in increasing bitmask order; None when there is none."""
-    n, m = mat.shape
-    full = (1 << m) - 1
-    best = SlackMin()
-    for bits in bit_ranges(1 << m, n, m):
-        bits = bits[~spans(mat, full ^ bits)]
-        values = np.empty(len(bits))
-        for pos, idx in _by_size(bits, m):
-            values[pos] = sigma_n(mat, idx)
-        best.scan(values, bits)
-    if best.key is None:
-        return None
-    return float(best.value), int(best.key)
+    return omega_min(mat, (keep for _, keep in _complements(rows, n, m)))
 
 
 def _block_lower_bounds(outers: np.ndarray, base: int, c: int) -> np.ndarray:

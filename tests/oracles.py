@@ -78,6 +78,29 @@ def spans_svd(F, idx, rtol=1e-10):
     return bool(s[n - 1] > rtol * s[0])
 
 
+def gram_tol(F, value, terms=1):
+    """1e-10, or where larger the rounding bound of sigma taken as the root
+    of a sum of `terms` Gram eigenvalues: m * eps * ||F||^2 per eigenvalue."""
+    dlam = terms * F.shape[1] * np.finfo(float).eps * np.linalg.norm(F, 2) ** 2
+    bound = math.sqrt(dlam) if value <= 0 else min(math.sqrt(dlam), dlam / value)
+    return max(1e-10, bound)
+
+
+def omega_hyperplanes_svd(F, rtol=1e-10):
+    """omega of spanning columns over the hyperplanes: for each (n-1)-subset
+    T of rank n-1, sigma_n of the columns off span F_T (those j with T + j
+    spanning), all by SVD."""
+    n, m = F.shape
+    best = math.inf
+    for T in itertools.combinations(range(m), n - 1):
+        s = np.linalg.svd(F[:, list(T)], compute_uv=False)
+        if n > 1 and not s[n - 2] > rtol * s[0]:
+            continue
+        off = [j for j in range(m) if j not in T and spans_svd(F, T + (j,), rtol)]
+        best = min(best, subset_sigma_n(F, off))
+    return best
+
+
 def delta_bruteforce(F):
     """min over all subsets of sqrt(sigma_n(F_S)^2 + sigma_n(F_Sc)^2)."""
     n, m = F.shape

@@ -86,6 +86,24 @@ class TestComplementProperty:
         ok, witness = complement_property(fr)
         assert not ok and witness is not None
 
+    def test_holds_on_generic_4x30(self):
+        # 2^29 partitions, but only C(30, 4) n-subsets to rank
+        ok, witness = complement_property(random_frame(4, 30, 5))
+        assert ok and witness is None
+
+    def test_fails_on_two_planes_3x30(self):
+        rng = np.random.default_rng(6)
+        planes = [rng.standard_normal((3, 2)) for _ in range(2)]
+        side = np.arange(30) % 2
+        rng.shuffle(side)
+        mat = np.column_stack([planes[s] @ rng.standard_normal(2) for s in side])
+        ok, witness = complement_property(Frame(mat))
+        assert not ok
+        assert not oracles.spans_svd(mat, witness.indices())
+        assert not oracles.spans_svd(mat, witness.complement().indices())
+        # the one violating S without column 29: the other plane's columns
+        assert witness.indices() == np.flatnonzero(side != side[29]).tolist()
+
 
 class TestFullSpark:
     def test_matches_bruteforce(self):

@@ -76,7 +76,7 @@ class TestMinimalRedundancyStudy:
         res = minimal_redundancy_study([3], trials=4, seed=13)
         for row in res.rows:
             assert row.statistic == "omega" and row.exact
-            spec = EnsembleSpec(n=3, m=5, scale="unit_columns", seed=13, trials=4)
+            spec = EnsembleSpec(n=3, m=5, scale="unit_columns", seed=13)
             fr = gaussian_frame(spec, row.trial)
             assert row.value == pytest.approx(
                 oracles.omega_bruteforce(fr.matrix), abs=1e-9
@@ -97,7 +97,7 @@ class TestTauScalingStudy:
     def test_values_match_bruteforce(self):
         res = tau_scaling_study([3], k=2, trials=3, seed=8)
         for row in res.rows:
-            spec = EnsembleSpec(n=3, m=5, scale="unit_columns", seed=8, trials=3)
+            spec = EnsembleSpec(n=3, m=5, scale="unit_columns", seed=8)
             fr = gaussian_frame(spec, row.trial)
             assert row.value == pytest.approx(
                 oracles.tau_bruteforce(fr.matrix), abs=1e-9

@@ -12,6 +12,7 @@ from phasestab import (
     QepsConfig,
     ValidationError,
     analysis_map,
+    complement_property,
     delta,
     delta_x,
     dist_d,
@@ -94,11 +95,20 @@ class TestSubsetConstants:
         assert d_sampled >= d_exact - 1e-12
 
     def test_omega_budget(self):
-        # a non-full-spark frame with m = 40 forces 2^m enumeration
+        # a repeated column kills full spark; the hyperplane sets still
+        # number only C(40, 2), far from the 2^40 subsets
         mat = np.random.default_rng(9).standard_normal((3, 40))
-        mat[:, 1] = mat[:, 0]  # repeated column kills full spark
+        mat[:, 1] = mat[:, 0]
+        value, witness, exact = omega(Frame(mat), mode="exact")
+        ref = oracles.omega_hyperplanes_svd(mat)
+        assert exact and abs(value - ref) <= oracles.gram_tol(mat, ref)
+        assert not oracles.spans_svd(mat, witness.complement().indices())
+        # C(40, 10) n-subsets exceed FULL_SPARK_BUDGET
+        wide = Frame(np.random.default_rng(9).standard_normal((10, 40)))
         with pytest.raises(BudgetExceededError):
-            omega(Frame(mat), mode="exact")
+            omega(wide, mode="exact")
+        with pytest.raises(BudgetExceededError):
+            complement_property(wide)
 
     def test_sampled_omega_needs_budget(self):
         with pytest.raises(ValidationError):

@@ -53,14 +53,6 @@ def frames(draw):
     return kind, mat
 
 
-def gram_tol(mat, value, terms=1):
-    """1e-10, or where larger the rounding bound of sigma taken as the root
-    of a sum of `terms` Gram eigenvalues: m * eps * ||F||^2 per eigenvalue."""
-    dlam = terms * mat.shape[1] * EPS * np.linalg.norm(mat, 2) ** 2
-    bound = math.sqrt(dlam) if value <= 0 else min(math.sqrt(dlam), dlam / value)
-    return max(1e-10, bound)
-
-
 def svd_tol(mat):
     """Rounding bound of a singular value taken from an SVD: 10 eps ||F||_2."""
     return 10 * EPS * np.linalg.norm(mat, 2)
@@ -128,7 +120,7 @@ class TestVerdicts:
         expect = [
             bool(b) and matrix_rank(mat[:, list(indices(int(b), m))]) == n for b in bits
         ]
-        assert subsets.spans(mat, bits).tolist() == expect
+        assert subsets.spans(mat, (bits[:, None] >> np.arange(m)) & 1 == 1).tolist() == expect
 
 
 class TestConstants:
@@ -178,7 +170,7 @@ class TestConstants:
             if not oracles.spans_svd(mat, complement(S, m))
         )
         value, witness, exact = omega(Frame(mat), mode="exact")
-        tol = gram_tol(mat, ref)
+        tol = oracles.gram_tol(mat, ref)
         assert exact and abs(value - ref) <= tol
         assert not oracles.spans_svd(mat, witness.complement().indices())
         assert abs(sigma(mat, witness.indices()) - value) <= tol
@@ -190,7 +182,7 @@ class TestConstants:
         m = mat.shape[1]
         ref = oracles.delta_bruteforce(mat)
         value, witness, exact = delta(Frame(mat), mode="exact")
-        tol = gram_tol(mat, ref, terms=2)
+        tol = oracles.gram_tol(mat, ref, terms=2)
         assert exact and abs(value - ref) <= tol
         attained = math.hypot(
             sigma(mat, witness.indices()), sigma(mat, witness.complement().indices())
@@ -216,7 +208,8 @@ def _sigma_loop(mat, bits):
 
 
 def _omega_loop(mat):
-    """Exact omega one subset at a time, with omega's 1e-15 tie-break."""
+    """Exact omega one subset at a time, with omega's 1e-15 tie-break:
+    (omega, witness bitmask, {bitmask: sigma_n} over every candidate)."""
     n, m = mat.shape
     full = (1 << m) - 1
     if full_spark(Frame(mat))[0]:
@@ -228,12 +221,12 @@ def _omega_loop(mat):
             b for b in range(1 << m)
             if b == full or matrix_rank(mat[:, list(indices(full ^ b, m))]) < n
         )
+    values = {bits: _sigma_loop(mat, bits) for bits in candidates}
     best_bits, best_val = None, np.inf
-    for bits in candidates:
-        v = _sigma_loop(mat, bits)
+    for bits, v in values.items():
         if v < best_val - 1e-15 or best_bits is None:
             best_bits, best_val = bits, v
-    return best_val, best_bits
+    return best_val, best_bits, values
 
 
 def _tau_loop(mat):
@@ -293,8 +286,18 @@ class TestAgainstLoops:
     @settings(max_examples=20, deadline=None)
     def test_omega_and_tau_bit_identical_to_loops(self, case):
         _, mat = case
+        n = mat.shape[0]
         value, witness, _ = omega(Frame(mat))
-        assert (value, witness.bits) == _omega_loop(mat)
+        ref_value, ref_bits, values = _omega_loop(mat)
+        assert value == ref_value
+        low = min(values.values())
+        ties = [bits for bits, v in values.items() if v <= low + subsets.OMEGA_SLACK]
+        if full_spark(Frame(mat))[0] or len(ties) == 1:
+            assert witness.bits == ref_bits
+        else:
+            # a tie the loop broke by bitmask order
+            assert matrix_rank(mat[:, witness.complement().indices()]) < n
+            assert _sigma_loop(mat, witness.bits) == value
         try:
             assert tau(Frame(mat)) == _tau_loop(mat)
         except NotAFrameError:

@@ -42,7 +42,7 @@ from .injectivity import (
     a0 as a0_search,
 )
 
-EXACT_SUBSET_BUDGET = 1 << 18  # cap on 2^(m-1) for exhaustive Delta
+EXACT_SUBSET_BUDGET = 1 << 18  # cap on 2^(m-1) for exact Delta
 DEFAULT_SAMPLE_BUDGET = 512
 
 LAMBDA_RESTARTS = 32           # seeded random starts of the Lambda_F ascent
@@ -119,9 +119,11 @@ def delta(
 ) -> tuple[float, SubsetMask, bool]:
     """Delta = min over partitions (S, S^c) of sqrt(A[S] + A[S^c]).
 
-    Exact mode enumerates all 2^(m-1) partitions S < 2^(m-1) in chunks of
+    Exact mode runs a branch-and-bound over the partitions S < 2^(m-1) in
     bounded memory and returns the first minimum in bitmask order
-    (`subsets.delta_exact`; the budget bounds time, not memory).  Sampled
+    (`subsets.delta_exact`).  It runs when the 2^(m-1) partitions number at
+    most max(budget, EXACT_SUBSET_BUDGET), whatever the frame: the budget
+    counts partitions, not the Grams the search solves or its memory.  Sampled
     mode scores seeded random and thin subsets in one `subsets.partition_bounds`
     call, then descends by Hamming-distance-1 flips, scored in blocks; the
     result is then an upper bound (exact=False).

@@ -24,6 +24,13 @@ membership rows, with one batched LAPACK call per chunk:
   n-subset T + j fails the rank rule.  If the columns span R^n, every set
   that does not span lies in some H_T, so the complement property and exact
   omega need only the sets H_T^c, never the 2^m subsets.
+- Exact Delta never walks the 2^(m-1) partitions either: `delta_exact` is a
+  depth-first branch-and-bound that assigns columns to S or S^c.  A side's
+  lambda_min only grows as columns join it, so a node whose A[S] + A[S^c]
+  so far exceeds best * (1 + _PRUNE_RTOL) + _PRUNE_ULPS * m * eps *
+  ||F||_2^2 holds no minimum and is dropped.  The absolute term covers the
+  Gram and eigvalsh rounding by which a leaf can fall below its node's
+  bound; without it, near-ties at Delta ~ 0 can lose the first minimum.
 
 Enumeration orders and tie-breaks (the witnesses depend on them):
 
@@ -33,15 +40,23 @@ Enumeration orders and tie-breaks (the witnesses depend on them):
   returns the smallest violating bitmask below 2^(m-1).
 - omega and sampled Delta keep the first subset in enumeration order and
   replace it only by a value below the incumbent minus OMEGA_SLACK (1e-15).
-- Exact Delta keeps the first minimum over bitmasks S < 2^(m-1).  Its Grams add
-  the outer products f_j f_j^T from the highest index j down to the lowest.
+- Exact Delta reports the least bitmask S < 2^(m-1) among the partitions
+  of least value, the first minimum in bitmask order: only nodes strictly
+  above the incumbent are dropped, so every tie is reached.  Columns are
+  assigned from m-1 (always in S^c) down to 0, and each side's Gram adds
+  the outer products f_j f_j^T in that order, starting from zero, so every
+  leaf has the value of a one-partition-at-a-time loop bit for bit.
 
 Memory: chunks are sized so that their index arrays, stacked blocks and
-Grams take about CHUNK_BYTES whatever m is (exact Delta on a 9 x 17 frame
-peaks near 2 MiB); first-hit kernels start with small chunks and double
-them, so an early witness costs little.  Every batched call returns the
-same floating-point values as the per-subset call it replaces, so values
-and witnesses do not depend on the chunking.
+Grams take about CHUNK_BYTES whatever m is; first-hit kernels start with
+small chunks and double them, so an early witness costs little.  Exact
+Delta keeps its frontier in one stack of K m nodes, allocated once per
+call and written in place: at most CHUNK_BYTES / 2 (2 MiB on a 9 x 17
+frame) whether or not nodes are dropped, and at most 2^(m-2) nodes of two
+Grams each, so small frames take no more than half the Grams of a walk
+over every partition.  Every batched call returns the same floating-point values as the
+per-subset call it replaces, so values and witnesses do not depend on the
+chunking.
 """
 
 from __future__ import annotations
@@ -57,6 +72,8 @@ from .frame_core import EIG_CLAMP_RTOL, RANK_RTOL
 CHUNK_BYTES = 1 << 22        # working set of one chunk (4 MiB)
 FIRST_CHUNK = 64             # subsets in the first chunk of an enumeration
 OMEGA_SLACK = 1e-15          # omega replaces its incumbent only below best - slack
+_PRUNE_RTOL = 1e-12          # exact Delta drops a node above best * (1 + rtol) ...
+_PRUNE_ULPS = 4              # ... + _PRUNE_ULPS * m * eps * ||F||_2^2
 
 
 def _chunk_sizes(n: int, cols: int) -> Iterator[int]:
@@ -299,44 +316,94 @@ def omega_complements(mat: np.ndarray, rows: Iterable) -> tuple[float, int]:
     return omega_min(mat, (keep for _, keep in _complements(rows, n, m)))
 
 
-def _block_lower_bounds(outers: np.ndarray, base: int, c: int) -> np.ndarray:
-    """max(lambda_min, 0) of the Grams of the bitmasks base .. base + 2^c - 1
-    (base a multiple of 2^c).
-
-    Each Gram is the sum of its columns' outer products f_j f_j^T added from
-    the highest index down to the lowest, starting from zero, so every
-    bitmask gets the same floating-point sum whatever the chunking: the Gram
-    of t is the Gram of t without its lowest bit, plus that bit's outer
-    product.
-    """
-    n = outers.shape[1]
-    grams = np.empty((1 << c, n, n))
-    start = np.zeros((n, n))
-    for j in reversed(range(c, len(outers))):
-        if base >> j & 1:
-            start = start + outers[j]
-    grams[0] = start
-    for low in reversed(range(c)):
-        step = 1 << (low + 1)
-        grams[1 << low :: step] = grams[::step] + outers[low]
-    return np.maximum(np.linalg.eigvalsh(grams)[:, 0], 0.0)
-
-
 def delta_exact(mat: np.ndarray) -> tuple[float, int]:
     """(Delta, witness bitmask): min over S < 2^(m-1) of
     sqrt(A[S] + A[S^c]), A[S] = max(lambda_min(F_S F_S^T), 0); the first
-    minimum in bitmask order.  Blocks of 2^c bitmasks are paired with their
-    complement blocks, so no per-subset array of length 2^m is kept."""
+    minimum in bitmask order.
+
+    Depth-first branch-and-bound over column assignments: columns m-1, ...,
+    0 join S or S^c in turn (m-1 always S^c), so each side's Gram is summed
+    from the highest index down, as the module docstring fixes.  A side's
+    lambda_min only grows as columns join it, so a node whose A[S] + A[S^c]
+    so far exceeds the incumbent by more than the rounding allowance holds
+    no minimum and is dropped.  A side of fewer than n columns counts 0 and
+    is solved only at a leaf, once per leaf parent.  The frontier is one
+    stack of at most K m nodes, ordered by depth; the deepest K are expanded
+    together, in place.
+    """
     n, m = mat.shape
     outers = np.einsum("ij,kj->jik", mat, mat)  # (m, n, n)
-    # 2^c Grams, their eigenvalues and a half-block temporary fit in CHUNK_BYTES
-    c = min(m - 1, max(0, (CHUNK_BYTES // (8 * (2 * n * n + n))).bit_length() - 1))
-    full, ones = (1 << m) - 1, (1 << c) - 1
-    best_val, best_bits = np.inf, None
-    for base in range(0, 1 << (m - 1), 1 << c):
-        sums = _block_lower_bounds(outers, base, c)
-        sums += _block_lower_bounds(outers, full ^ base ^ ones, c)[::-1]
-        i = int(np.argmin(sums))
-        if best_bits is None or sums[i] < best_val:
-            best_val, best_bits = sums[i], base + i
-    return float(np.sqrt(best_val)), best_bits
+    # a leaf's value may fall below its nodes' bounds by Gram and eigvalsh rounding
+    slack = _PRUNE_ULPS * m * np.finfo(float).eps * float(np.linalg.norm(mat, 2)) ** 2
+    # K nodes per chunk: the stack of K m nodes takes at most CHUNK_BYTES / 2
+    # and holds at most 2^(m-1) Grams, half of all 2^m partition sides
+    K = max(1, min(CHUNK_BYTES // (16 * m * (2 * n * n + 4)), (1 << m) // (4 * m)))
+    grams = np.zeros((K * m, 2, n, n))  # per node: the Grams of S and S^c
+    flat = grams.reshape(-1, n, n)  # side s of node i is row 2 i + s
+    lows = np.full((K * m, 2), np.nan)  # their max(lambda_min, 0), NaN until solved
+    bits = np.zeros(K * m, dtype=np.int64 if m <= 64 else object)
+    sizes = np.zeros(K * m, dtype=np.intp)  # columns in S
+    grams[0, 1] += outers[m - 1]
+    counts = [0] * (m + 1)  # nodes per depth (columns assigned)
+    counts[1] = top = 1
+    best, best_bits = np.inf, 0
+
+    def solve(rows: np.ndarray) -> None:
+        lows.reshape(-1)[rows] = np.maximum(np.linalg.eigvalsh(flat[rows])[:, 0], 0.0)
+
+    def keep(lo: int, hi: int) -> int:
+        """Drop the nodes lo .. hi - 1 that hold no minimum and move the rest
+        to lo .. lo + k - 1, highest bound first, so that the lowest are
+        expanded first.  Returns k."""
+        bound = np.fmax(lows[lo:hi], 0.0).sum(axis=1)  # an unsolved side counts 0
+        k = np.count_nonzero(bound <= best * (1 + _PRUNE_RTOL) + slack)
+        order = lo + np.argsort(-bound, kind="stable")[hi - lo - k :]  # the dropped sort first
+        if k < hi - lo or (order[1:] < order[:-1]).any():
+            for arr in (grams, lows, bits, sizes):
+                arr[lo : lo + k] = arr[order]
+        return k
+
+    if m == 1:
+        solve(np.arange(2))
+        return float(np.sqrt(lows[0, 0] + lows[0, 1])), 0
+    depth = 1
+    while depth:
+        if not counts[depth]:
+            depth -= 1
+            continue
+        size = min(K, counts[depth])
+        counts[depth] -= size
+        lo = top - size
+        size = keep(lo, top)
+        hi = lo + size
+        j, leaves = m - 1 - depth, depth == m - 1
+        if leaves:  # the sides the children share with their parent
+            solve(2 * lo + np.flatnonzero(np.isnan(lows[lo:hi]).ravel()))
+        # Children in place: lo .. hi - 1 put j in S, hi .. top - 1 in S^c;
+        # each solves the side that changed once it has n columns.
+        top = hi + size
+        for arr in (grams, lows, bits, sizes):
+            arr[hi:top] = arr[lo:hi]
+        grams[lo:hi, 0] += outers[j]
+        grams[hi:top, 1] += outers[j]
+        bits[lo:hi] |= 1 << j
+        sizes[lo:hi] += 1
+        lows[lo:hi, 0] = lows[hi:top, 1] = np.nan
+        need = 0 if leaves else n
+        solve(np.concatenate([
+            2 * (lo + np.flatnonzero(sizes[lo:hi] >= need)),
+            2 * (hi + np.flatnonzero(depth + 1 - sizes[hi:top] >= need)) + 1,
+        ]))
+        if leaves:
+            values = lows[lo:top, 0] + lows[lo:top, 1]
+            low = values.min(initial=np.inf)
+            if low <= best:
+                tied = bits[lo:top][values == low].min()
+                best_bits = tied if low < best else min(best_bits, tied)
+                best = low
+            top = lo
+            continue
+        depth += 1
+        counts[depth] = keep(lo, top)
+        top = lo + counts[depth]
+    return float(np.sqrt(best)), int(best_bits)

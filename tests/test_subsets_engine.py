@@ -53,6 +53,26 @@ def frames(draw):
     return kind, mat
 
 
+@st.composite
+def tie_frames(draw):
+    """A frame rich in exact ties: each column is zero, a coordinate vector,
+    or up to sign one of fewer than n small-integer or Gaussian columns.
+    m is 11 to 13: on shallower trees a branch-and-bound that drops nodes
+    without a rounding allowance rarely shows it."""
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(11, 13))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = (n, int(rng.integers(1, n)))
+    pool = rng.standard_normal(size) if rng.random() < 0.5 else rng.integers(-2, 3, size).astype(float)
+    mat = np.zeros((n, m))
+    for j, kind in enumerate(rng.integers(5, size=m)):
+        if kind == 1:
+            mat[int(rng.integers(n)), j] = 1.0
+        elif kind > 1:
+            mat[:, j] = rng.choice([-1.0, 1.0]) * pool[:, rng.integers(size[1])]
+    return mat
+
+
 def svd_tol(mat):
     """Rounding bound of a singular value taken from an SVD: 10 eps ||F||_2."""
     return 10 * EPS * np.linalg.norm(mat, 2)
@@ -320,6 +340,45 @@ class TestAgainstLoops:
             tracemalloc.stop()
         # one 2^17 x 9 x 9 stack alone would take 85 MB
         assert peak < subsets.CHUNK_BYTES
+
+    @given(tie_frames())
+    @settings(max_examples=100, deadline=None)
+    def test_delta_bit_identical_to_one_stack_on_ties(self, mat):
+        value, witness, _ = delta(Frame(mat))
+        assert (value, witness.bits) == _delta_one_stack(mat)
+
+    @pytest.mark.parametrize(
+        "mat",
+        [
+            np.random.default_rng(918).standard_normal((9, 8))
+            @ np.random.default_rng(919).standard_normal((8, 17)),
+            np.repeat(np.random.default_rng(920).standard_normal((9, 1)), 17, axis=1),
+        ],
+        ids=["rank_8", "equal_columns"],
+    )
+    def test_exact_delta_memory_is_capped_when_nothing_prunes(self, mat):
+        """Delta = 0 on these frames, so no node is ever dropped."""
+        tracemalloc.start()
+        try:
+            value, _, _ = delta(Frame(mat), mode="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value < 1e-6
+        assert peak < subsets.CHUNK_BYTES
+
+    def test_exact_delta_solves_few_grams(self, monkeypatch):
+        """Branch-and-bound solves a fraction of the 2^m Grams a walk over
+        every partition solves."""
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
+        delta(Frame(np.random.default_rng(519).standard_normal((5, 19))), mode="exact")
+        assert sum(solved) < 2**19 / 20
+        solved.clear()
+        unit = np.random.default_rng(917).standard_normal((9, 17))
+        delta(Frame(unit / np.linalg.norm(unit, axis=0)), mode="exact")
+        assert sum(solved) <= 0.4 * 2**17
 
 
 def _fixture(name):

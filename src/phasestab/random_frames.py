@@ -16,10 +16,8 @@ import numpy as np
 from . import subsets
 from .errors import BudgetExceededError, ValidationError
 from .frame_core import Frame, null_vector
-from .robustness import delta as delta_op, omega as omega_op, tau as tau_op
+from .robustness import _with_omega_partition, delta as delta_op, omega as omega_op, tau as tau_op
 from .injectivity import full_spark
-
-OMEGA_EXACT_MAX_N = 12
 
 
 @dataclass(frozen=True)
@@ -92,9 +90,7 @@ def witness_bound_51(frame: Frame) -> dict:
     c = null_vector(block)
     excluded = int(np.argmin(np.abs(c)))
     keep = [j for j in range(n + 1) if j != excluded]
-    g = block[:, keep]
-    evals = np.linalg.eigvalsh(g @ g.T)
-    sigma_n = float(np.sqrt(max(evals[0], 0.0)))
+    sigma_n = float(subsets.sigma_n(frame.matrix, np.array([keep]))[0])
     big_l = float(np.max(np.linalg.norm(block, axis=0)))
     bound = big_l / np.sqrt(n)
     return {
@@ -114,16 +110,14 @@ def minimal_redundancy_study(
     Non-full-spark draws (measure zero) are discarded and redrawn; omega is
     then the full-spark route of `omega(mode="exact")`.  For
     n <= 6 the identity Delta = omega is asserted by exhaustive enumeration.
+    FULL_SPARK_BUDGET on C(2n-1, n) caps the full spark pass and so the
+    C(2n-1, n-1) = C(2n-1, n) omega rows: n <= 13 runs.
     """
     _check_trials(trials)
     result = StudyResult()
     medians = {}
     redraws = 0
     for n in n_list:
-        if n > OMEGA_EXACT_MAX_N:
-            raise BudgetExceededError(
-                f"exact omega enumeration infeasible for n={n} > {OMEGA_EXACT_MAX_N}"
-            )
         m = 2 * n - 1
         values = []
         for trial in range(trials):
@@ -166,7 +160,7 @@ def minimal_redundancy_study(
 
 def tau_scaling_study(n_list: list[int], k: int, trials: int, seed: int) -> StudyResult:
     """Exact tau for n x (n+k) unit-column Gaussian matrices; reports the
-    normalized medians tau * n^(k - 1/2) per n (tau's own budget applies)."""
+    normalized medians tau * n^(k - 1/2) per n (tau's FULL_SPARK_BUDGET cap applies)."""
     _check_trials(trials)
     if k < 0:
         raise ValidationError("k must be >= 0")
@@ -202,7 +196,9 @@ def redundancy_stability_study(
     seed: int,
 ) -> StudyResult:
     """Sampled (and, when feasible, exact) Delta and omega for F = G / sqrt(n)
-    with m = round(r0 * n); medians per n feed the non-decay inspection."""
+    with m = round(r0 * n); medians per n feed the non-decay inspection.  A
+    sampled Delta also scores the omega witness's partition, as in
+    `FrameAnalysis`."""
     _check_trials(trials)
     if not r0 > 2:
         raise ValidationError(f"r0 must exceed 2, got {r0!r}")
@@ -214,23 +210,23 @@ def redundancy_stability_study(
         for trial in range(trials):
             spec = EnsembleSpec(n=n, m=m, scale="one_over_sqrt_n", seed=seed)
             frame = gaussian_frame(spec, trial)
-            d_val, _, d_exact = delta_op(
+            d = delta_op(
                 frame,
                 mode="exact" if 1 << (m - 1) <= subset_budget else "sampled",
                 budget=subset_budget,
                 seed=seed + trial,
             )
             try:
-                o_val, _, o_exact = omega_op(
+                o = omega_op(
                     frame,
                     mode="exact" if comb(m, n - 1) <= subset_budget else "sampled",
                     budget=subset_budget,
                     seed=seed + trial,
                 )
             except BudgetExceededError:
-                o_val, _, o_exact = omega_op(
-                    frame, mode="sampled", budget=subset_budget, seed=seed + trial
-                )
+                o = omega_op(frame, mode="sampled", budget=subset_budget, seed=seed + trial)
+            d_val, _, d_exact = _with_omega_partition(frame, d, o)
+            o_val, _, o_exact = o
             deltas.append(d_val)
             omegas.append(o_val)
             result.rows.append(

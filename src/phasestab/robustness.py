@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb
 
 import numpy as np
 
@@ -211,16 +210,33 @@ def omega(
 
 
 def tau(frame: Frame) -> float:
-    """tau = min sigma_n(F_S) over rank-n subsets; attained at size-n subsets."""
-    n, m = frame.dim, frame.count
-    if m < n or frame.rank() < n:
-        raise NotAFrameError("no rank-n subset exists: the columns do not span R^n")
-    if comb(m, n) > EXACT_SUBSET_BUDGET:
-        raise BudgetExceededError(f"tau enumeration infeasible: C({m},{n}) too large")
+    """tau = min sigma_n(F_S) over rank-n subsets; attained at size-n subsets.
+    One pass over the n-subsets, under the FULL_SPARK_BUDGET cap on C(m, n)
+    that full spark, the complement check and exact omega share;
+    NotAFrameError when no n-subset spans R^n."""
+    _check_subset_budget(frame, "tau enumeration")
     best = subsets.tau(frame.matrix)
     if not np.isfinite(best):
-        raise NotAFrameError("no full-rank size-n subset found")
+        raise NotAFrameError("no rank-n subset exists: the columns do not span R^n")
     return best
+
+
+def _with_omega_partition(
+    frame: Frame,
+    d: tuple[float, SubsetMask, bool],
+    o: tuple[float, SubsetMask, bool],
+) -> tuple[float, SubsetMask, bool]:
+    """Delta result d, lowered to the partition (S_omega, S_omega^c) of the
+    omega result o when d is sampled and that partition scores lower.  The
+    complement of S_omega does not span, so its score is about omega^2 and
+    sampled Delta <= omega holds as Delta <= omega does.  Exact Delta is
+    returned as is: its Gram sums may differ from the stacked Grams that
+    score the partition by rounding."""
+    value, _, exact = d
+    if exact:
+        return d
+    score = float(np.sqrt(subsets.partition_bounds(frame.matrix, [o[1].bits])[0]))
+    return (score, o[1], False) if score < value else d
 
 
 @dataclass(eq=False)
@@ -229,8 +245,9 @@ class FrameAnalysis:
 
     Over-budget Delta and omega fall back to seeded sampled upper bounds over
     sample_budget subsets (exact flag False), or raise BudgetExceededError
-    when sample_budget is None.  The kernels are the module functions
-    `delta`, `omega` and `tau`, looked up at call time.
+    when sample_budget is None.  A sampled Delta also scores the omega
+    witness's partition and keeps it when lower.  The kernels are the module
+    functions `delta`, `omega` and `tau`, looked up at call time.
     """
 
     frame: Frame
@@ -248,7 +265,8 @@ class FrameAnalysis:
     @cached_property
     def delta(self) -> tuple[float, SubsetMask, bool]:
         """(Delta, witness partition S, exact flag)."""
-        return self._exact_or_sampled(delta)
+        d = self._exact_or_sampled(delta)
+        return d if d[2] else _with_omega_partition(self.frame, d, self.omega)
 
     @cached_property
     def omega(self) -> tuple[float, SubsetMask, bool]:

@@ -14,10 +14,10 @@ membership rows, with one batched LAPACK call per chunk:
   eps * ||F||.  omega and Delta take sigma_n(F_S) = sqrt(max(lambda_min, 0))
   from the stacked Grams F_S F_S^T, with an absolute error of about
   m * eps * ||F||^2 / sigma: up to 2.5e-10 against the SVD values on seeded
-  9 x 17 Gaussian frames, where sigma ~ 1e-6.  omega and exact Delta read
-  `eigvalsh`, sampled Delta `eigh`: each keeps the routine of its old
-  one-subset loop, since the two round differently and only the same
-  routine, batched, gives the loop's values bit for bit.
+  9 x 17 Gaussian frames, where sigma ~ 1e-6.  One routine, `_lambda_min`,
+  reads every such lambda_min, exact or sampled, from one batched
+  `eigvalsh` per stack, and raises ConvergenceError below the roundoff
+  floor -EIG_CLAMP_RTOL * lambda_max.
 - Kernel vectors (a0's starts, Q_eps's directions): the last right singular
   vector of F_S^T from its full SVD.
 - Hyperplane sets: H_T is an (n-1)-subset T with every column j whose
@@ -133,14 +133,23 @@ def spans(mat: np.ndarray, member: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lambda_min(grams: np.ndarray) -> np.ndarray:
+    """max(lambda_min, 0) per Gram of a stack, from one batched eigvalsh;
+    ConvergenceError below the roundoff floor -EIG_CLAMP_RTOL * lambda_max."""
+    lam = np.linalg.eigvalsh(grams)
+    low, top = lam[:, 0], lam[:, -1]
+    below = low < -EIG_CLAMP_RTOL * np.where(top > 0, top, 1.0)
+    if below.any():
+        first = float(low[below][0])
+        raise ConvergenceError(f"Gram matrix eigenvalue {first!r} below roundoff floor")
+    return np.maximum(low, 0.0)
+
+
 def sigma_n(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """sigma_n(F_S) = sqrt(max(lambda_min(F_S F_S^T), 0)) per row of idx
     (0 for the empty set)."""
-    if idx.shape[1] == 0:
-        return np.zeros(len(idx))
     blocks = _stack(mat, idx)
-    lam = np.linalg.eigvalsh(blocks @ blocks.transpose(0, 2, 1))[:, 0]
-    return np.sqrt(np.maximum(lam, 0.0))
+    return np.sqrt(_lambda_min(blocks @ blocks.transpose(0, 2, 1)))
 
 
 def kernel_vectors(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -151,24 +160,12 @@ def kernel_vectors(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def lower_bounds(mat: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """A[S] = lambda_min(F_S F_S^T) per membership row (0 for the empty set).
-    Negative values count as 0 above the roundoff floor
-    -EIG_CLAMP_RTOL * lambda_max; below it ConvergenceError is raised."""
+    """A[S] = max(lambda_min(F_S F_S^T), 0) per membership row (0 for the
+    empty set), under `_lambda_min`'s roundoff floor."""
     out = np.zeros(len(member))
     for pos, idx in _by_rows(member):
-        if idx.shape[1] == 0:
-            continue
         blocks = _stack(mat, idx)
-        # eigh, not eigvalsh: batched eigh gives the values of one eigh per
-        # Gram bit for bit; eigvalsh rounds differently, which near lambda = 0
-        # is a large relative change and can move the witness.
-        lam = np.linalg.eigh(blocks @ blocks.transpose(0, 2, 1))[0]
-        low, scale = lam[:, 0], np.where(lam[:, -1] > 0, lam[:, -1], 1.0)
-        below = low < -EIG_CLAMP_RTOL * scale
-        if below.any():
-            i = int(np.argmax(below))
-            raise ConvergenceError(f"Gram matrix eigenvalue {float(low[i])!r} below roundoff floor")
-        out[pos] = np.where(low < 0, 0.0, low)
+        out[pos] = _lambda_min(blocks @ blocks.transpose(0, 2, 1))
     return out
 
 
@@ -258,19 +255,33 @@ def hyperplane_complements(mat: np.ndarray) -> Iterator[np.ndarray]:
         yield np.zeros((1, m), dtype=bool)
 
 
+def _row_bits(member: np.ndarray) -> np.ndarray:
+    """The bitmasks of the membership rows: int64 for m <= 62, Python ints
+    (object dtype) above."""
+    m = member.shape[1]
+    if m <= 62:
+        return member @ (np.int64(1) << np.arange(m, dtype=np.int64))
+    return np.array([_bits(row) for row in member], dtype=object)
+
+
 def first_violating_partition(mat: np.ndarray) -> int | None:
     """The smallest bitmask S < 2^(m-1) such that neither S nor its
     complement spans R^n, or None when the complement property holds: the
     least violating H_T^c with m-1 in H_T, since S^c lies in some H_T and
-    H_T^c, inside S, does not span either.  All rows are read."""
+    H_T^c, inside S, does not span either.  All rows are read; only those
+    below the least violation found so far are rank-checked."""
     m = mat.shape[1]
     none = least = 1 << m  # above every bitmask
     for member in hyperplane_complements(mat):
         member = member[~member[:, m - 1]]
+        bits = _row_bits(member)
+        below = bits < least
+        member, bits = member[below], bits[below]
         bad = ~spans(mat, member)
         # only a side that does not span needs its complement checked
         bad[bad] = ~spans(mat, ~member[bad])
-        least = min([least, *map(_bits, member[bad])])
+        if bad.any():
+            least = min(least, int(bits[bad].min()))
     return None if least == none else least
 
 
@@ -349,7 +360,7 @@ def delta_exact(mat: np.ndarray) -> tuple[float, int]:
     best, best_bits = np.inf, 0
 
     def solve(rows: np.ndarray) -> None:
-        lows.reshape(-1)[rows] = np.maximum(np.linalg.eigvalsh(flat[rows])[:, 0], 0.0)
+        lows.reshape(-1)[rows] = _lambda_min(flat[rows])
 
     def keep(lo: int, hi: int) -> int:
         """Drop the nodes lo .. hi - 1 that hold no minimum and move the rest

@@ -6,8 +6,11 @@ import pytest
 
 import oracles
 from phasestab import (
+    A0Config,
     BudgetExceededError,
+    EnsembleSpec,
     Frame,
+    FrameAnalysis,
     NotAFrameError,
     QepsConfig,
     ValidationError,
@@ -18,6 +21,7 @@ from phasestab import (
     dist_d,
     eps0,
     frame_bounds,
+    gaussian_frame,
     lambdaF,
     lipschitz_constants,
     load_frame,
@@ -34,6 +38,7 @@ from phasestab import (
     v_ratios_batch,
     worst_case_witness,
 )
+from phasestab import subsets
 from phasestab.robustness import _line_maxima
 
 MB3 = mercedes_benz_frame()
@@ -121,6 +126,20 @@ class TestSubsetConstants:
     def test_tau_needs_rank_n_subset(self):
         with pytest.raises(NotAFrameError):
             tau(Frame(np.array([[1.0, 2.0], [0.0, 0.0]])))
+
+    def test_tau_finds_the_spanning_pair(self):
+        # rank 1 under the relative rank rule, yet columns {1, 2} span
+        fr = Frame(np.array([[1e12, 0.0, 1.0], [0.0, 1.0, 0.0]]))
+        assert fr.rank() == 1
+        assert tau(fr) == 1.0 == np.linalg.svd(fr.matrix[:, [1, 2]], compute_uv=False)[-1]
+
+    def test_tau_shares_the_full_spark_budget(self):
+        # C(118, 3) = 266,916 n-subsets: under FULL_SPARK_BUDGET
+        mat = np.random.default_rng(118).standard_normal((3, 118))
+        value = tau(Frame(mat))
+        assert 0.0 < value <= np.linalg.svd(mat[:, :3], compute_uv=False)[-1]
+        with pytest.raises(BudgetExceededError):
+            tau(Frame(np.random.default_rng(9).standard_normal((10, 40))))
 
 
 class TestLambdaF:
@@ -357,6 +376,18 @@ class TestLipschitzConstants:
             assert c.omega <= c.sqrtA + 1e-9
             assert c.sqrtA <= c.sqrtB + 1e-9
             assert c.mu0 >= 0.0
+
+    def test_sampled_delta_not_above_omega(self):
+        # 2^19 partitions put Delta over its exact budget, while omega is
+        # exact; the sampled candidates alone give Delta 0.5426 > omega 0.5258
+        fr = gaussian_frame(EnsembleSpec(n=5, m=20, scale="one_over_sqrt_n", seed=1), 17)
+        analysis = FrameAnalysis(fr)
+        (d_val, d_mask, d_exact), (o_val, _, o_exact) = analysis.delta, analysis.omega
+        assert not d_exact and o_exact
+        assert d_val <= o_val
+        assert d_val == math.sqrt(subsets.partition_bounds(fr.matrix, [d_mask.bits])[0])
+        c = lipschitz_constants(fr, A0Config(restarts=1, max_iters=5))
+        assert (c.Delta, c.omega) == (d_val, o_val)
 
     def test_mercedes_benz_constants(self):
         c = lipschitz_constants(MB3)

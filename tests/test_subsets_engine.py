@@ -22,7 +22,6 @@ from phasestab import (
     load_frame,
     matrix_rank,
     omega,
-    sym_eig,
     tau,
 )
 from phasestab import frame_core, injectivity, robustness, subsets
@@ -130,6 +129,15 @@ class TestVerdicts:
             assert witness.bits == violated[0]
             assert not oracles.spans_svd(mat, witness.indices())
             assert not oracles.spans_svd(mat, witness.complement().indices())
+
+    def test_complement_witness_beyond_int64(self):
+        # m = 64: row bitmasks are Python ints.  Column 5 is e2, the others
+        # multiples of e1, so S = {5} is the least violating side.
+        mat = np.zeros((2, 64))
+        mat[0] = np.random.default_rng(64).uniform(1.0, 2.0, 64)
+        mat[:, 5] = [0.0, 1.0]
+        ok, witness = complement_property(Frame(mat))
+        assert not ok and witness.bits == 1 << 5
 
     @given(frames())
     @SETTINGS
@@ -396,19 +404,31 @@ def _starts_loop(mat):
 
 
 def _lower_bound_loop(mat, bits):
-    """A[S] = lambda_min(F_S F_S^T) of one subset by `sym_eig`, clamped at 0
-    above the roundoff floor (the scorer sampled Delta used per subset)."""
+    """A[S] = lambda_min(F_S F_S^T) of one subset by `eigvalsh`, clamped at 0
+    above the roundoff floor -EIG_CLAMP_RTOL * lambda_max."""
     cols = list(indices(bits, mat.shape[1]))
     if not cols:
         return 0.0
-    evals, _ = sym_eig(mat[:, cols] @ mat[:, cols].T)
-    scale = float(evals[0]) if evals[0] > 0 else 1.0
-    lower = float(evals[-1])
+    evals = np.linalg.eigvalsh(mat[:, cols] @ mat[:, cols].T)
+    scale = float(evals[-1]) if evals[-1] > 0 else 1.0
+    lower = float(evals[0])
     if lower < 0:
         if lower < -frame_core.EIG_CLAMP_RTOL * scale:
             raise ConvergenceError("Gram matrix eigenvalue below roundoff floor")
         lower = 0.0
     return lower
+
+
+def _eigvalsh_below_floor(monkeypatch):
+    """Patch eigvalsh to shift each spectrum down by 1e-9 lambda_max, which
+    takes a rank-deficient Gram's lambda_min below the roundoff floor."""
+    eigvalsh = np.linalg.eigvalsh
+
+    def shifted(grams):
+        lam = eigvalsh(grams)
+        return lam - 1e-9 * lam[..., -1:]
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
 
 
 def _delta_sampled_loop(mat, budget, seed):
@@ -517,12 +537,14 @@ class TestEngineAgainstLoops:
         assert (value, witness.bits) == _delta_sampled_loop(mat, 64, 2)
 
     def test_roundoff_floor_raises(self, monkeypatch):
-        eigh = np.linalg.eigh
-
-        def shifted(grams):
-            lam, vecs = eigh(grams)
-            return lam - 1e-9 * lam[..., -1:], vecs
-
-        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        _eigvalsh_below_floor(monkeypatch)
         with pytest.raises(ConvergenceError):
             subsets.partition_bounds(np.eye(2), [1])
+
+    @pytest.mark.parametrize("kernel", [omega, delta])
+    def test_exact_kernels_share_the_roundoff_floor(self, kernel, monkeypatch):
+        # columns e1, e1, e2: omega's least set {2} and Delta's one-column
+        # sides have rank-one Grams
+        _eigvalsh_below_floor(monkeypatch)
+        with pytest.raises(ConvergenceError):
+            kernel(Frame(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])), mode="exact")

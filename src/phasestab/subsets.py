@@ -6,18 +6,33 @@ and sampled), the minimal-redundancy study, a0's structured starts and the
 kernel directions of Q_eps.  Subsets come in chunks of stacked index or
 membership rows, with one batched LAPACK call per chunk:
 
+- Determinant screen: for square blocks, `_det_lower` gives a bound
+  L <= sigma_n(F_S) from one batched LU (Hong-Pan), lowered by an
+  allowance for the rounding of the LU and of an SVD.  It decides what it
+  can; the SVD and eigvalsh run only on the rows it cannot decide, and
+  every reported value comes from them.
 - Rank verdict: F_S spans R^n when sigma_n(F_S) > RANK_RTOL * sigma_1(F_S),
-  the rule of `frame_core.matrix_rank`, from a batched SVD of the n x |S|
-  blocks.  Rank is never read off Gram eigenvalues: their rounding noise is
-  about eps * lambda_max, far above RANK_RTOL**2 * lambda_max.
+  the rule of `frame_core.matrix_rank`.  A square block with
+  L > 2 * RANK_RTOL * ||F_S||_F passes the screen: sigma_1 <= ||F_S||_F,
+  and the factor 2 spares RANK_RTOL * ||F_S||_F for the SVD's rounding of
+  about n * eps * ||F_S||, so the SVD rule would hold too.  Every other
+  block, and every block of more than n columns, is decided by a batched
+  SVD of the n x |S| blocks.  Rank is never read off Gram eigenvalues:
+  their rounding noise is about eps * lambda_max, far above
+  RANK_RTOL**2 * lambda_max.
 - Spectrum: tau takes sigma_n(F_S) from that same SVD, accurate to about
-  eps * ||F||.  omega and Delta take sigma_n(F_S) = sqrt(max(lambda_min, 0))
-  from the stacked Grams F_S F_S^T, with an absolute error of about
-  m * eps * ||F||^2 / sigma: up to 2.5e-10 against the SVD values on seeded
-  9 x 17 Gaussian frames, where sigma ~ 1e-6.  One routine, `_lambda_min`,
-  reads every such lambda_min, exact or sampled, from one batched
-  `eigvalsh` per stack, and raises ConvergenceError below the roundoff
-  floor -EIG_CLAMP_RTOL * lambda_max.
+  eps * ||F||; once it has an incumbent, rows with L above it skip the SVD,
+  since their SVD sigma_n could not be lower.  omega and Delta take
+  sigma_n(F_S) = sqrt(max(lambda_min, 0)) from the stacked Grams
+  F_S F_S^T, with an absolute error of about m * eps * ||F||^2 / sigma: up
+  to 2.5e-10 against the SVD values on seeded 9 x 17 Gaussian frames, where
+  sigma ~ 1e-6.  Exact omega skips a square row, once it has an incumbent
+  best, when L^2 > (best^2 + _PRUNE_ULPS * n * eps * ||F_S||_F^2) *
+  (1 + 8 eps): the Gram route's lambda_min is within that allowance of
+  sigma_n^2 >= L^2, so the row's value would be at least best and never
+  taken.  One routine, `_lambda_min`, reads every lambda_min, exact or
+  sampled, from one batched `eigvalsh` per stack, and raises
+  ConvergenceError below the roundoff floor -EIG_CLAMP_RTOL * lambda_max.
 - Kernel vectors (a0's starts, Q_eps's directions): the last right singular
   vector of F_S^T from its full SVD.
 - Hyperplane sets: H_T is an (n-1)-subset T with every column j whose
@@ -28,7 +43,7 @@ membership rows, with one batched LAPACK call per chunk:
   depth-first branch-and-bound that assigns columns to S or S^c.  A side's
   lambda_min only grows as columns join it, so a node whose A[S] + A[S^c]
   so far exceeds best * (1 + _PRUNE_RTOL) + _PRUNE_ULPS * m * eps *
-  ||F||_2^2 holds no minimum and is dropped.  The absolute term covers the
+  ||F||_F^2 holds no minimum and is dropped.  The absolute term covers the
   Gram and eigvalsh rounding by which a leaf can fall below its node's
   bound; without it, near-ties at Delta ~ 0 can lose the first minimum.
 
@@ -48,7 +63,8 @@ Enumeration orders and tie-breaks (the witnesses depend on them):
   leaf has the value of a one-partition-at-a-time loop bit for bit.
 
 Memory: chunks are sized so that their index arrays, stacked blocks and
-Grams take about CHUNK_BYTES whatever m is; first-hit kernels start with
+Grams take about CHUNK_BYTES whatever m is, and each chunk is stacked once,
+for the screen and for the rows it leaves; first-hit kernels start with
 small chunks and double them, so an early witness costs little.  Exact
 Delta keeps its frontier in one stack of K m nodes, allocated once per
 call and written in place: at most CHUNK_BYTES / 2 (2 MiB on a 9 x 17
@@ -73,13 +89,16 @@ CHUNK_BYTES = 1 << 22        # working set of one chunk (4 MiB)
 FIRST_CHUNK = 64             # subsets in the first chunk of an enumeration
 OMEGA_SLACK = 1e-15          # omega replaces its incumbent only below best - slack
 _PRUNE_RTOL = 1e-12          # exact Delta drops a node above best * (1 + rtol) ...
-_PRUNE_ULPS = 4              # ... + _PRUNE_ULPS * m * eps * ||F||_2^2
+_PRUNE_ULPS = 4              # ... + _PRUNE_ULPS * m * eps * ||F||_F^2
+_EPS = np.finfo(float).eps
 
 
 def _chunk_sizes(n: int, cols: int) -> Iterator[int]:
     """FIRST_CHUNK, doubling up to the byte cap for subsets of up to cols
-    columns in R^n: an index row, the stacked n x cols block (and its copy)
-    and an n x n Gram per subset."""
+    columns in R^n: an index row, the stacked n x cols block and one copy
+    (`_stack`'s gather, or the rows the determinant screen leaves), and an
+    n x n Gram per subset.  Batched det and SVD factor one block at a time
+    in a scratch buffer of their own, not a copy of the stack."""
     cap = max(1, CHUNK_BYTES // (8 * (cols + 2 * n * cols + n * n + n)))
     size = min(FIRST_CHUNK, cap)
     while True:
@@ -117,12 +136,48 @@ def _rank_rule(svals: np.ndarray, n: int) -> np.ndarray:
     return svals[:, n - 1] > RANK_RTOL * svals[:, 0]
 
 
+def _det_lower(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, ||A||_F^2) per n x n block A of a stack, with
+    0 <= lower <= sigma_n(A), and below the sigma_n that an SVD of A returns.
+
+    Hong-Pan (Linear Algebra Appl. 172, 1992):
+    sigma_n(A) >= |det A| ((n-1) / ||A||_F^2)^((n-1)/2), with
+    |det A| from one batched LU (`slogdet`; numpy's `det` is its
+    exponential), so the product of the pivots never overflows.  The bound
+    is lowered by (n^4 2^n + 1024 n^2) eps ||A||_F: partial pivoting factors
+    A + E with ||E||_F <= n^3 2^(n-1) eps ||A||_F (pivot growth at most
+    2^(n-1)), which moves sigma_n by ||E||_2 and the Frobenius factor by
+    (n-1) ||E||_F / ||A||_F relative, and the logarithms add at most about
+    750 n^2 eps relative; the rest covers the SVD's rounding.  A bound that
+    is not finite (||A||_F^2 overflows), or one whose ||A||_F^2 underflows
+    below the normal range, counts as 0."""
+    n = blocks.shape[-1]
+    logdet = np.linalg.slogdet(blocks)[1]
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        fro2 = np.einsum("kij,kij->k", blocks, blocks)
+        # (at n = 1 the factor is 1 and the bound is |a|)
+        log_hp = logdet + 0.5 * (n - 1) * (np.log(max(n - 1, 1)) - np.log(fro2))
+        lower = np.exp(log_hp) - (n**4 * 2.0**n + 1024 * n * n) * _EPS * np.sqrt(fro2)
+    usable = np.isfinite(lower) & (fro2 >= np.finfo(float).tiny)
+    return np.where(usable, np.maximum(lower, 0.0), 0.0), fro2
+
+
 def full_rank(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Rank verdict per row of idx: True where F_S spans R^n."""
+    """Rank verdict per row of idx: True where F_S spans R^n.  Square blocks
+    go through the determinant screen first; the SVD decides the rest."""
     n = mat.shape[0]
     if idx.shape[1] < n:
         return np.zeros(len(idx), dtype=bool)
-    return _rank_rule(np.linalg.svd(_stack(mat, idx), compute_uv=False), n)
+    blocks = _stack(mat, idx)
+    if idx.shape[1] > n:
+        return _rank_rule(np.linalg.svd(blocks, compute_uv=False), n)
+    lower, fro2 = _det_lower(blocks)
+    # sigma_1 <= ||F_S||_F, so the rule holds, with a factor 2 for SVD rounding
+    ok = lower > 2 * RANK_RTOL * np.sqrt(fro2)
+    rest = ~ok
+    if rest.any():
+        ok[rest] = _rank_rule(np.linalg.svd(blocks[rest], compute_uv=False), n)
+    return ok
 
 
 def spans(mat: np.ndarray, member: np.ndarray) -> np.ndarray:
@@ -148,7 +203,11 @@ def _lambda_min(grams: np.ndarray) -> np.ndarray:
 def sigma_n(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """sigma_n(F_S) = sqrt(max(lambda_min(F_S F_S^T), 0)) per row of idx
     (0 for the empty set)."""
-    blocks = _stack(mat, idx)
+    return _gram_sigma_n(_stack(mat, idx))
+
+
+def _gram_sigma_n(blocks: np.ndarray) -> np.ndarray:
+    """`sigma_n` of stacked blocks F_S."""
     return np.sqrt(_lambda_min(blocks @ blocks.transpose(0, 2, 1)))
 
 
@@ -291,7 +350,10 @@ def tau(mat: np.ndarray) -> float:
     n, m = mat.shape
     best = np.inf
     for idx in chunked(combinations(range(m), n), n, n):
-        svals = np.linalg.svd(_stack(mat, idx), compute_uv=False)
+        blocks = _stack(mat, idx)
+        if best < np.inf:  # a row whose screen bound exceeds the incumbent cannot beat it
+            blocks = blocks[_det_lower(blocks)[0] <= best]
+        svals = np.linalg.svd(blocks, compute_uv=False)
         ok = _rank_rule(svals, n)
         if ok.any():
             best = min(best, float(svals[ok, n - 1].min()))
@@ -309,12 +371,21 @@ def kernel_starts(mat: np.ndarray) -> np.ndarray:
 def omega_min(mat: np.ndarray, chunks: Iterable[np.ndarray]) -> tuple[float, int]:
     """(min, witness bitmask) of sigma_n(F_S) over the membership rows S of
     the chunks, in order, with omega's tie-break: exact omega over the
-    chunks of `hyperplane_complements`."""
+    chunks of `hyperplane_complements`.  Once there is an incumbent, a
+    square row whose screen bound keeps its Gram value above it could never
+    be taken, so it is left at inf unsolved."""
+    n = mat.shape[0]
     best = SlackMin()
     for member in chunks:
-        values = np.empty(len(member))
+        values = np.full(len(member), np.inf)
         for pos, idx in _by_rows(member):
-            values[pos] = sigma_n(mat, idx)
+            blocks = _stack(mat, idx)
+            if best.key is not None and idx.shape[1] == n:
+                lower, fro2 = _det_lower(blocks)
+                floor = best.value * best.value + _PRUNE_ULPS * n * _EPS * fro2
+                need = lower * lower <= floor * (1 + 8 * _EPS)
+                pos, blocks = pos[need], blocks[need]
+            values[pos] = _gram_sigma_n(blocks)
         best.scan(values, member)
     return float(best.value), _bits(best.key)
 
@@ -344,8 +415,9 @@ def delta_exact(mat: np.ndarray) -> tuple[float, int]:
     """
     n, m = mat.shape
     outers = np.einsum("ij,kj->jik", mat, mat)  # (m, n, n)
-    # a leaf's value may fall below its nodes' bounds by Gram and eigvalsh rounding
-    slack = _PRUNE_ULPS * m * np.finfo(float).eps * float(np.linalg.norm(mat, 2)) ** 2
+    # a leaf's value may fall below its nodes' bounds by Gram and eigvalsh
+    # rounding; ||F||_F^2 >= ||F||_2^2 and takes no SVD
+    slack = _PRUNE_ULPS * m * _EPS * float(np.einsum("ij,ij->", mat, mat))
     # K nodes per chunk: the stack of K m nodes takes at most CHUNK_BYTES / 2
     # and holds at most 2^(m-1) Grams, half of all 2^m partition sides
     K = max(1, min(CHUNK_BYTES // (16 * m * (2 * n * n + 4)), (1 << m) // (4 * m)))

@@ -32,9 +32,12 @@ EPS = np.finfo(float).eps
 
 
 @st.composite
-def frames(draw):
+def frames(draw, offsets=(8, 13), scales=None, per_column=True):
     """(kind, matrix): a Gaussian frame, one with a column repeated up to a
-    scale, or one with a column 1e-8 to 1e-13 off the span of n-1 others."""
+    scale, or one with a column 10^-offsets[0] to 10^-offsets[1] off the
+    span of n-1 others.  With scales = (lo, hi), the columns of half the
+    frames are then scaled by 10^lo to 10^hi: all by one power, or (with
+    per_column) each by its own."""
     kind = draw(st.sampled_from(["random", "duplicated", "near_degenerate"]))
     n = draw(st.integers(2, 4))
     m = draw(st.integers(n if kind == "random" else n + 1, 10))
@@ -47,8 +50,11 @@ def frames(draw):
         j, *others = rng.choice(m, size=n, replace=False)
         basis = mat[:, others]
         normal = np.linalg.qr(basis, mode="complete")[0][:, -1]
-        offset = 10.0 ** -draw(st.integers(8, 13))
+        offset = 10.0 ** -draw(st.integers(*offsets))
         mat[:, j] = basis @ rng.standard_normal(n - 1) + offset * normal
+    if scales and draw(st.booleans()):
+        size = draw(st.sampled_from([1, m] if per_column else [1]))
+        mat *= 10.0 ** rng.integers(scales[0], scales[1] + 1, size=size).astype(float)
     return kind, mat
 
 
@@ -227,6 +233,86 @@ class TestConstants:
         assert tau(fr) == pytest.approx(oracles.tau_bruteforce(mat), abs=1e-10)
 
 
+def _square_blocks(mat):
+    """(index rows, stacked n x n blocks) of the n-subsets of a frame."""
+    n, m = mat.shape
+    idx = np.array(list(itertools.combinations(range(m), n)), dtype=np.intp)
+    return idx, np.ascontiguousarray(mat[:, idx].transpose(1, 0, 2))
+
+
+class TestDeterminantScreen:
+    """The Hong-Pan screen of square blocks, on frames 1e-6 to 1e-14 off a
+    span and with columns scaled by up to 10^+-150 (10^+-160 where
+    ||F_S||_F^2 may leave the normal range)."""
+
+    @given(frames(offsets=(6, 14), scales=(-150, 150)))
+    @SETTINGS
+    def test_bound_is_below_svd_and_gram_sigma_n(self, case):
+        _, mat = case
+        n = mat.shape[0]
+        _, blocks = _square_blocks(mat)
+        lower, fro2 = subsets._det_lower(blocks)
+        svals = np.linalg.svd(blocks, compute_uv=False)
+        lam = np.linalg.eigvalsh(blocks @ blocks.transpose(0, 2, 1))[:, 0]
+        assert (lower >= 0).all()
+        assert (lower <= svals[:, n - 1]).all()
+        # exact omega's prune: the Gram route stays within its allowance
+        assert (lower * lower <= lam + subsets._PRUNE_ULPS * n * EPS * fro2).all()
+
+    @given(frames(offsets=(6, 14), scales=(-160, 160)))
+    @SETTINGS
+    def test_certified_rows_pass_the_rank_rule(self, case):
+        _, mat = case
+        n = mat.shape[0]
+        idx, blocks = _square_blocks(mat)
+        lower, fro2 = subsets._det_lower(blocks)
+        certified = lower > 2 * frame_core.RANK_RTOL * np.sqrt(fro2)
+        svals = np.linalg.svd(blocks, compute_uv=False)
+        assert (svals[certified, n - 1] > frame_core.RANK_RTOL * svals[certified, 0]).all()
+        assert subsets.full_rank(mat, idx).tolist() == [oracles.spans_svd(mat, S) for S in idx]
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_scaled_frames_fall_back_to_the_svd(self, scale):
+        # ||F_S||_F^2 overflows at 1e160 and underflows at 1e-160, so the
+        # screen decides nothing and the SVD gives every verdict and value
+        mat = np.random.default_rng(160).standard_normal((3, 6)) * scale
+        mat[:, 5] = -mat[:, 1]
+        idx, blocks = _square_blocks(mat)
+        assert not subsets._det_lower(blocks)[0].any()
+        verdicts = [oracles.spans_svd(mat, S) for S in idx]
+        assert subsets.full_rank(mat, idx).tolist() == verdicts
+        ok, witness = full_spark(Frame(mat))
+        assert not ok and tuple(witness.indices()) == tuple(idx[verdicts.index(False)])
+        assert tau(Frame(mat)) == _tau_loop(mat)
+
+    def test_screen_leaves_few_rows_to_svd_and_eigvalsh(self, monkeypatch):
+        """On a full-spark 8 x 15 frame, full spark, tau and exact omega
+        would each factor all C(15, 8) = 6,435 blocks without the screen."""
+        mat = np.random.default_rng(815).standard_normal((8, 15))
+        mat /= np.linalg.norm(mat, axis=0)
+        fr = Frame(mat)
+        svd_rows, gram_rows = [], []
+        svd, lambda_min = np.linalg.svd, subsets._lambda_min
+
+        def counted_svd(a, *args, **kwargs):
+            svd_rows.append(len(a) if np.ndim(a) == 3 else 1)
+            return svd(a, *args, **kwargs)
+
+        def counted_lambda_min(grams):
+            gram_rows.append(len(grams))
+            return lambda_min(grams)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(subsets, "_lambda_min", counted_lambda_min)
+        assert full_spark(fr)[0]
+        assert sum(svd_rows) <= 6435 // 20
+        svd_rows.clear()
+        tau(fr)
+        assert sum(svd_rows) <= 6435 // 20
+        omega(fr, mode="exact")
+        assert sum(gram_rows) <= 6435 // 20
+
+
 def _sigma_loop(mat, bits):
     cols = list(indices(bits, mat.shape[1]))
     if not cols:
@@ -287,8 +373,8 @@ def _delta_one_stack(mat):
 
 
 class TestAgainstLoops:
-    @given(frames())
-    @settings(max_examples=20, deadline=None)
+    @given(frames(offsets=(6, 14), scales=(-8, 8)))
+    @settings(max_examples=30, deadline=None)
     def test_results_do_not_depend_on_chunk_size(self, case):
         _, mat = case
         fr = Frame(mat)
@@ -310,8 +396,14 @@ class TestAgainstLoops:
             subsets.CHUNK_BYTES = saved
         assert small == big
 
-    @given(frames())
-    @settings(max_examples=20, deadline=None)
+    # Whole frames are scaled here, and only up.  The loops apply the
+    # relative rank rule to every subset, the engine only to n-subsets; the
+    # rule is not monotone, so where columns differ in scale by many orders
+    # the two can pick different sets.  And OMEGA_SLACK is absolute: on a
+    # frame scaled down to 1e-8, values ~1e-17 apart tie, and the loop and
+    # the engine each keep their own first candidate.
+    @given(frames(offsets=(6, 14), scales=(0, 8), per_column=False))
+    @settings(max_examples=30, deadline=None)
     def test_omega_and_tau_bit_identical_to_loops(self, case):
         _, mat = case
         n = mat.shape[0]

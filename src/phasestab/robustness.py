@@ -155,7 +155,7 @@ def delta(
         candidates.add(sum(1 << int(i) for i in draw))
 
     masks = sorted(candidates)
-    best = subsets.SlackMin()
+    best = subsets.SlackMin(frame.max_column_norm() ** 2)
     best.scan(subsets.partition_bounds(frame.matrix, masks), masks)
     # Local descent: flip one index at a time, keeping each flip that
     # improves by more than the slack (first improvement, in index order).
@@ -167,7 +167,7 @@ def delta(
         while i < m:
             flips = [best.key ^ (1 << j) for j in range(i, min(m, i + size))]
             values = subsets.partition_bounds(frame.matrix, flips)
-            hits = np.flatnonzero(values < best.value - subsets.OMEGA_SLACK)
+            hits = np.flatnonzero(values < best.value - best.slack)
             if hits.size:
                 best.value, best.key = values[hits[0]], flips[hits[0]]
                 i, size = i + int(hits[0]) + 1, 1
@@ -190,8 +190,8 @@ def omega(
     an H_T^c (`subsets.hyperplane_complements`), up to FULL_SPARK_BUDGET
     n-subsets; when no n-subset spans, omega = 0 at S = {}.  The witness is
     the first candidate in combinations order of T, replaced only by a value
-    more than 1e-15 below it.  Sampled mode draws the T and keeps the same
-    tie-break.
+    more than 1e-15 times the largest column norm below it.  Sampled mode
+    draws the T and keeps the same tie-break.
     """
     n, m = frame.dim, frame.count
     if mode == "exact":

@@ -8,9 +8,11 @@ membership rows, with one batched LAPACK call per chunk:
 
 - Determinant screen: for square blocks, `_det_lower` gives a bound
   L <= sigma_n(F_S) from one batched LU (Hong-Pan), lowered by an
-  allowance for the rounding of the LU and of an SVD.  It decides what it
-  can; the SVD and eigvalsh run only on the rows it cannot decide, and
-  every reported value comes from them.
+  allowance for the rounding of the LU and of an SVD or eigvalsh.  Four
+  users: the rank verdict of square blocks, tau, exact omega, and exact
+  Delta, on the side Grams G, where sigma_n(G) = lambda_min(G).  It
+  decides what it can; the SVD and eigvalsh run only on the rows it cannot
+  decide, and every reported value comes from them.
 - Rank verdict: F_S spans R^n when sigma_n(F_S) > RANK_RTOL * sigma_1(F_S),
   the rule of `frame_core.matrix_rank`.  A square block with
   L > 2 * RANK_RTOL * ||F_S||_F passes the screen: sigma_1 <= ||F_S||_F,
@@ -26,13 +28,19 @@ membership rows, with one batched LAPACK call per chunk:
   sigma_n(F_S) = sqrt(max(lambda_min, 0)) from the stacked Grams
   F_S F_S^T, with an absolute error of about m * eps * ||F||^2 / sigma: up
   to 2.5e-10 against the SVD values on seeded 9 x 17 Gaussian frames, where
-  sigma ~ 1e-6.  Exact omega skips a square row, once it has an incumbent
-  best, when L^2 > (best^2 + _PRUNE_ULPS * n * eps * ||F_S||_F^2) *
-  (1 + 8 eps): the Gram route's lambda_min is within that allowance of
-  sigma_n^2 >= L^2, so the row's value would be at least best and never
-  taken.  One routine, `_lambda_min`, reads every lambda_min, exact or
-  sampled, from one batched `eigvalsh` per stack, and raises
-  ConvergenceError below the roundoff floor -EIG_CLAMP_RTOL * lambda_max.
+  sigma ~ 1e-6.  omega takes sigma_n = 0 for fewer than n columns, which
+  never span; Delta keeps their lambda_min, rounding noise, so that its
+  values match a one-partition-at-a-time loop bit for bit.  Exact omega
+  skips a square row, once it has an incumbent best, when
+  L^2 > (best^2 + _PRUNE_ULPS * n * eps * ||F_S||_F^2) * (1 + 8 eps): the
+  Gram route's lambda_min is within that allowance of sigma_n^2 >= L^2, so
+  the row's value would be at least best and never taken.  Exact Delta,
+  once it has an incumbent, keeps a side Gram's L in place of its
+  lambda_min >= L where L already takes the node past the prune limit
+  (past the incumbent, at a leaf), and drops the node without eigvalsh.
+  One routine, `_lambda_min`, reads every lambda_min, exact or sampled,
+  from one batched `eigvalsh` per stack, and raises ConvergenceError below
+  the roundoff floor -EIG_CLAMP_RTOL * lambda_max.
 - Kernel vectors (a0's starts, Q_eps's directions): the last right singular
   vector of F_S^T from its full SVD.
 - Hyperplane sets: H_T is an (n-1)-subset T with every column j whose
@@ -46,6 +54,9 @@ membership rows, with one batched LAPACK call per chunk:
   ||F||_F^2 holds no minimum and is dropped.  The absolute term covers the
   Gram and eigvalsh rounding by which a leaf can fall below its node's
   bound; without it, near-ties at Delta ~ 0 can lose the first minimum.
+  At the leaves, the sides of n columns or more are screened and solved
+  first; a side of fewer columns, whose lambda_min is rounding noise, is
+  solved only for a leaf they leave at or below the incumbent.
 
 Enumeration orders and tie-breaks (the witnesses depend on them):
 
@@ -54,7 +65,9 @@ Enumeration orders and tie-breaks (the witnesses depend on them):
 - The H_T^c come in combinations order of T; `first_violating_partition`
   returns the smallest violating bitmask below 2^(m-1).
 - omega and sampled Delta keep the first subset in enumeration order and
-  replace it only by a value below the incumbent minus OMEGA_SLACK (1e-15).
+  replace it only by a value below the incumbent minus OMEGA_SLACK (1e-15)
+  times s for sigma_n, s^2 for Delta's squared values, s the largest column
+  norm (`SlackMin`).
 - Exact Delta reports the least bitmask S < 2^(m-1) among the partitions
   of least value, the first minimum in bitmask order: only nodes strictly
   above the incumbent are dropped, so every tie is reached.  Columns are
@@ -87,9 +100,10 @@ from .frame_core import EIG_CLAMP_RTOL, RANK_RTOL
 
 CHUNK_BYTES = 1 << 22        # working set of one chunk (4 MiB)
 FIRST_CHUNK = 64             # subsets in the first chunk of an enumeration
-OMEGA_SLACK = 1e-15          # omega replaces its incumbent only below best - slack
+OMEGA_SLACK = 1e-15          # omega's tie-break slack, relative to the largest column norm
 _PRUNE_RTOL = 1e-12          # exact Delta drops a node above best * (1 + rtol) ...
 _PRUNE_ULPS = 4              # ... + _PRUNE_ULPS * m * eps * ||F||_F^2
+_SCREEN_RATIO = 8            # exact Delta's screen: least batch, least yield 1 / ratio
 _EPS = np.finfo(float).eps
 
 
@@ -138,7 +152,8 @@ def _rank_rule(svals: np.ndarray, n: int) -> np.ndarray:
 
 def _det_lower(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lower, ||A||_F^2) per n x n block A of a stack, with
-    0 <= lower <= sigma_n(A), and below the sigma_n that an SVD of A returns.
+    0 <= lower <= sigma_n(A), and below the sigma_n that an SVD of A returns
+    (the lambda_min that eigvalsh returns, for a Gram A).
 
     Hong-Pan (Linear Algebra Appl. 172, 1992):
     sigma_n(A) >= |det A| ((n-1) / ||A||_F^2)^((n-1)/2), with
@@ -148,9 +163,11 @@ def _det_lower(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A + E with ||E||_F <= n^3 2^(n-1) eps ||A||_F (pivot growth at most
     2^(n-1)), which moves sigma_n by ||E||_2 and the Frobenius factor by
     (n-1) ||E||_F / ||A||_F relative, and the logarithms add at most about
-    750 n^2 eps relative; the rest covers the SVD's rounding.  A bound that
-    is not finite (||A||_F^2 overflows), or one whose ||A||_F^2 underflows
-    below the normal range, counts as 0."""
+    750 n^2 eps relative; the rest covers the rounding of an SVD, or of
+    eigvalsh when A is a Gram (symmetric positive semidefinite, so
+    sigma_n(A) = lambda_min(A)).  A bound that is not finite (||A||_F^2
+    overflows), or one whose ||A||_F^2 underflows below the normal range,
+    counts as 0."""
     n = blocks.shape[-1]
     logdet = np.linalg.slogdet(blocks)[1]
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
@@ -202,12 +219,16 @@ def _lambda_min(grams: np.ndarray) -> np.ndarray:
 
 def sigma_n(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """sigma_n(F_S) = sqrt(max(lambda_min(F_S F_S^T), 0)) per row of idx
-    (0 for the empty set)."""
+    (0 for fewer than n columns)."""
     return _gram_sigma_n(_stack(mat, idx))
 
 
 def _gram_sigma_n(blocks: np.ndarray) -> np.ndarray:
-    """`sigma_n` of stacked blocks F_S."""
+    """`sigma_n` of stacked blocks F_S.  Fewer than n columns never span
+    R^n, so their sigma_n is 0 exactly: the lambda_min of their Gram is
+    rounding noise, whose root can reach 1e-8 ||F_S||."""
+    if blocks.shape[2] < blocks.shape[1]:
+        return np.zeros(len(blocks))
     return np.sqrt(_lambda_min(blocks @ blocks.transpose(0, 2, 1)))
 
 
@@ -242,18 +263,20 @@ def partition_bounds(mat: np.ndarray, masks: list[int]) -> np.ndarray:
 class SlackMin:
     """Running minimum with omega's and sampled Delta's tie-break: the first
     value is taken, and a later value replaces the incumbent only when below
-    it by OMEGA_SLACK.
+    it by `slack` = OMEGA_SLACK * scale, the scale of the values: s for
+    sigma_n, s^2 for squared values, where s is the frame's largest column
+    norm, so the tie-break does not change when the frame is scaled.
     `key` is the incumbent's entry of the keys passed along with the values."""
 
-    def __init__(self):
-        self.value, self.key = np.inf, None
+    def __init__(self, scale: float):
+        self.value, self.key, self.slack = np.inf, None, OMEGA_SLACK * scale
 
     def scan(self, values: np.ndarray, keys) -> None:
         start = 0
         if self.key is None and len(values):
             self.value, self.key, start = values[0], keys[0], 1
         while True:
-            hits = np.flatnonzero(values[start:] < self.value - OMEGA_SLACK)
+            hits = np.flatnonzero(values[start:] < self.value - self.slack)
             if not hits.size:
                 return
             start += int(hits[0])
@@ -375,7 +398,7 @@ def omega_min(mat: np.ndarray, chunks: Iterable[np.ndarray]) -> tuple[float, int
     square row whose screen bound keeps its Gram value above it could never
     be taken, so it is left at inf unsolved."""
     n = mat.shape[0]
-    best = SlackMin()
+    best = SlackMin(float(np.max(np.linalg.norm(mat, axis=0))))
     for member in chunks:
         values = np.full(len(member), np.inf)
         for pos, idx in _by_rows(member):
@@ -409,9 +432,25 @@ def delta_exact(mat: np.ndarray) -> tuple[float, int]:
     lambda_min only grows as columns join it, so a node whose A[S] + A[S^c]
     so far exceeds the incumbent by more than the rounding allowance holds
     no minimum and is dropped.  A side of fewer than n columns counts 0 and
-    is solved only at a leaf, once per leaf parent.  The frontier is one
-    stack of at most K m nodes, ordered by depth; the deepest K are expanded
-    together, in place.
+    is solved only at a leaf.  The frontier is one stack of at most K m
+    nodes, ordered by depth; the deepest K are expanded together, in place.
+
+    Once there is an incumbent, a side of n columns or more goes through the
+    determinant screen before eigvalsh: for a Gram, sigma_n = lambda_min, so
+    a side whose bound L takes its node above the prune limit (above the
+    incumbent itself at a leaf) keeps L, and the node is dropped unsolved.
+    At the leaves these sides go first, and the sides of fewer than n
+    columns, whose lambda_min is rounding noise, are solved only for the
+    leaves that can still reach the incumbent.  Every kept value and every
+    tie still comes from `_lambda_min`, so values and witnesses are those of
+    the unscreened search.  The screen runs on batches of at least
+    _SCREEN_RATIO rows, and only while it has decided at least one row in
+    _SCREEN_RATIO since the incumbent last fell: per row, the screen takes a
+    quarter to an eighth of the time of eigvalsh on 5 x 5 to 9 x 9 Grams,
+    and a batched call of it has a fixed cost of four to a dozen such rows.
+    Where the incumbent sits far below most sides' lambda_min the screen
+    decides nearly every row it tries; where it does not, the bound is too
+    loose to decide many, and the screen stops.
     """
     n, m = mat.shape
     outers = np.einsum("ij,kj->jik", mat, mat)  # (m, n, n)
@@ -430,24 +469,43 @@ def delta_exact(mat: np.ndarray) -> tuple[float, int]:
     counts = [0] * (m + 1)  # nodes per depth (columns assigned)
     counts[1] = top = 1
     best, best_bits = np.inf, 0
+    tried = decided = 0  # rows the screen tried and decided since best last fell
 
-    def solve(rows: np.ndarray) -> None:
-        lows.reshape(-1)[rows] = _lambda_min(flat[rows])
+    def bound(nodes) -> np.ndarray:
+        """A[S] + A[S^c] so far per node; an unsolved side counts 0."""
+        return np.fmax(lows[nodes], 0.0).sum(axis=1)
+
+    def solve(rows: np.ndarray, limit: float) -> None:
+        """Fill in the sides at flat rows (side s of node i is row 2 i + s)
+        with max(lambda_min, 0) from `_lambda_min`, after the screen when
+        limit is finite: a side whose bound L already takes its node above
+        limit keeps L, and neither it nor the rest of the node is solved."""
+        nonlocal tried, decided
+        if not rows.size:
+            return
+        out = lows.reshape(-1)
+        if limit < np.inf and len(rows) >= _SCREEN_RATIO and _SCREEN_RATIO * decided >= tried:
+            out[rows] = _det_lower(flat[rows])[0]
+            left = rows[bound(rows // 2) <= limit]
+            tried += len(rows)
+            decided += len(rows) - len(left)
+            rows = left
+        out[rows] = _lambda_min(flat[rows])
 
     def keep(lo: int, hi: int) -> int:
         """Drop the nodes lo .. hi - 1 that hold no minimum and move the rest
         to lo .. lo + k - 1, highest bound first, so that the lowest are
         expanded first.  Returns k."""
-        bound = np.fmax(lows[lo:hi], 0.0).sum(axis=1)  # an unsolved side counts 0
-        k = np.count_nonzero(bound <= best * (1 + _PRUNE_RTOL) + slack)
-        order = lo + np.argsort(-bound, kind="stable")[hi - lo - k :]  # the dropped sort first
+        bounds = bound(slice(lo, hi))
+        k = np.count_nonzero(bounds <= best * (1 + _PRUNE_RTOL) + slack)
+        order = lo + np.argsort(-bounds, kind="stable")[hi - lo - k :]  # the dropped sort first
         if k < hi - lo or (order[1:] < order[:-1]).any():
             for arr in (grams, lows, bits, sizes):
                 arr[lo : lo + k] = arr[order]
         return k
 
     if m == 1:
-        solve(np.arange(2))
+        solve(np.arange(2), np.inf)
         return float(np.sqrt(lows[0, 0] + lows[0, 1])), 0
     depth = 1
     while depth:
@@ -459,11 +517,8 @@ def delta_exact(mat: np.ndarray) -> tuple[float, int]:
         lo = top - size
         size = keep(lo, top)
         hi = lo + size
-        j, leaves = m - 1 - depth, depth == m - 1
-        if leaves:  # the sides the children share with their parent
-            solve(2 * lo + np.flatnonzero(np.isnan(lows[lo:hi]).ravel()))
-        # Children in place: lo .. hi - 1 put j in S, hi .. top - 1 in S^c;
-        # each solves the side that changed once it has n columns.
+        j = m - 1 - depth
+        # Children in place: lo .. hi - 1 put j in S, hi .. top - 1 in S^c.
         top = hi + size
         for arr in (grams, lows, bits, sizes):
             arr[hi:top] = arr[lo:hi]
@@ -472,21 +527,33 @@ def delta_exact(mat: np.ndarray) -> tuple[float, int]:
         bits[lo:hi] |= 1 << j
         sizes[lo:hi] += 1
         lows[lo:hi, 0] = lows[hi:top, 1] = np.nan
-        need = 0 if leaves else n
-        solve(np.concatenate([
-            2 * (lo + np.flatnonzero(sizes[lo:hi] >= need)),
-            2 * (hi + np.flatnonzero(depth + 1 - sizes[hi:top] >= need)) + 1,
-        ]))
-        if leaves:
-            values = lows[lo:top, 0] + lows[lo:top, 1]
-            low = values.min(initial=np.inf)
-            if low <= best:
-                tied = bits[lo:top][values == low].min()
-                best_bits = tied if low < best else min(best_bits, tied)
-                best = low
-            top = lo
-            continue
         depth += 1
-        counts[depth] = keep(lo, top)
-        top = lo + counts[depth]
+        if depth < m:  # each child solves the side that changed once it has n columns
+            solve(np.concatenate([
+                2 * (lo + np.flatnonzero(sizes[lo:hi] >= n)),
+                2 * (hi + np.flatnonzero(depth - sizes[hi:top] >= n)) + 1,
+            ]), best * (1 + _PRUNE_RTOL) + slack)
+            counts[depth] = keep(lo, top)
+            top = lo + counts[depth]
+            continue
+        # Leaves: the unsolved sides of n columns or more first (all of them
+        # while there is no incumbent); a leaf they put above best is neither
+        # the minimum nor a tie, so its other sides are left unsolved.
+        todo = np.isnan(lows[lo:top])
+        wide = sizes[lo:top, None] * [1, -1] >= [n, n - m]  # |S| >= n, |S^c| >= n
+        first = todo & (wide | (best == np.inf))
+        solve(2 * lo + np.flatnonzero(first), best)
+        alive = bound(slice(lo, top)) <= best
+        solve(2 * lo + np.flatnonzero(todo & ~first & alive[:, None]), np.inf)
+        values = np.where(alive, lows[lo:top, 0] + lows[lo:top, 1], np.inf)
+        low = values.min(initial=np.inf)
+        if low <= best:
+            tied = bits[lo:top][values == low].min()
+            if low < best:
+                best_bits, tried, decided = tied, 0, 0
+            else:
+                best_bits = min(best_bits, tied)
+            best = low
+        top = lo
+        depth -= 1
     return float(np.sqrt(best)), int(best_bits)

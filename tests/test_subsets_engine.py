@@ -9,7 +9,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -285,6 +285,46 @@ class TestDeterminantScreen:
         assert not ok and tuple(witness.indices()) == tuple(idx[verdicts.index(False)])
         assert tau(Frame(mat)) == _tau_loop(mat)
 
+    @given(frames(offsets=(6, 14), scales=(-150, 150)))
+    @SETTINGS
+    def test_bound_is_below_gram_lambda_min(self, case):
+        # exact Delta screens the Grams of sides of n columns or more
+        _, mat = case
+        n, m = mat.shape
+        sides = [list(S) for k in range(n, m + 1) for S in itertools.combinations(range(m), k)]
+        grams = np.array([mat[:, S] @ mat[:, S].T for S in sides])
+        lam = np.linalg.eigvalsh(grams)[:, 0]
+        assert (subsets._det_lower(grams)[0] <= np.maximum(lam, 0.0)).all()
+
+    @pytest.mark.parametrize("scale", [1e80, 1e-80])
+    def test_scaled_frames_fall_back_to_eigvalsh_in_delta(self, scale, monkeypatch):
+        # ||G||_F^2 of the side Grams overflows at 1e80 and underflows at
+        # 1e-80, so the screen decides nothing and eigvalsh gives every value
+        mat = np.random.default_rng(611).standard_normal((6, 11))
+        mat *= scale / np.linalg.norm(mat, axis=0)
+        bounds = []
+        det_lower = subsets._det_lower
+
+        def spy(blocks):
+            out = det_lower(blocks)
+            bounds.append(out[0])
+            return out
+
+        monkeypatch.setattr(subsets, "_det_lower", spy)
+        value, witness, _ = delta(Frame(mat), mode="exact")
+        assert bounds and not np.concatenate(bounds).any()
+        assert (value, witness.bits) == _delta_one_stack(mat)
+
+    def test_exact_delta_leaves_few_grams_to_eigvalsh(self, monkeypatch):
+        """Exact Delta on a unit 9 x 17 frame solved 37,195 side Grams
+        before the screen and the deferred leaf solves."""
+        mat = np.random.default_rng(917).standard_normal((9, 17))
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(len(a)) or eigvalsh(a))
+        delta(Frame(mat / np.linalg.norm(mat, axis=0)), mode="exact")
+        assert sum(solved) <= 2**17 // 32
+
     def test_screen_leaves_few_rows_to_svd_and_eigvalsh(self, monkeypatch):
         """On a full-spark 8 x 15 frame, full spark, tau and exact omega
         would each factor all C(15, 8) = 6,435 blocks without the screen."""
@@ -315,16 +355,18 @@ class TestDeterminantScreen:
 
 def _sigma_loop(mat, bits):
     cols = list(indices(bits, mat.shape[1]))
-    if not cols:
+    if len(cols) < mat.shape[0]:  # fewer than n columns never span
         return 0.0
     sub = mat[:, cols]
     return float(np.sqrt(max(np.linalg.eigvalsh(sub @ sub.T)[0], 0.0)))
 
 
 def _omega_loop(mat):
-    """Exact omega one subset at a time, with omega's 1e-15 tie-break:
-    (omega, witness bitmask, {bitmask: sigma_n} over every candidate)."""
+    """Exact omega one subset at a time, with omega's tie-break (a slack of
+    1e-15 times the largest column norm): (omega, witness bitmask,
+    {bitmask: sigma_n} over every candidate)."""
     n, m = mat.shape
+    slack = subsets.OMEGA_SLACK * Frame(mat).max_column_norm()
     full = (1 << m) - 1
     if full_spark(Frame(mat))[0]:
         candidates = (
@@ -338,7 +380,7 @@ def _omega_loop(mat):
     values = {bits: _sigma_loop(mat, bits) for bits in candidates}
     best_bits, best_val = None, np.inf
     for bits, v in values.items():
-        if v < best_val - 1e-15 or best_bits is None:
+        if v < best_val - slack or best_bits is None:
             best_bits, best_val = bits, v
     return best_val, best_bits, values
 
@@ -396,13 +438,15 @@ class TestAgainstLoops:
             subsets.CHUNK_BYTES = saved
         assert small == big
 
-    # Whole frames are scaled here, and only up.  The loops apply the
+    # Whole frames are scaled here, not single columns.  The loops apply the
     # relative rank rule to every subset, the engine only to n-subsets; the
     # rule is not monotone, so where columns differ in scale by many orders
-    # the two can pick different sets.  And OMEGA_SLACK is absolute: on a
-    # frame scaled down to 1e-8, values ~1e-17 apart tie, and the loop and
-    # the engine each keep their own first candidate.
-    @given(frames(offsets=(6, 14), scales=(0, 8), per_column=False))
+    # the two can pick different sets.
+    @given(frames(offsets=(6, 14), scales=(-8, 8), per_column=False))
+    @example(("duplicated", np.array([
+        [-8.019314252534474e-09, -2.4836162209524855e-09, -2.4836162209524855e-09],
+        [4.2044523806552145e-09, 1.097063993218082e-09, 1.097063993218082e-09],
+    ])))  # sigma_n({1, 2}) ~ 2e-17 here, and a slack of 1e-15 would keep it over {0}'s 0
     @settings(max_examples=30, deadline=None)
     def test_omega_and_tau_bit_identical_to_loops(self, case):
         _, mat = case
@@ -411,7 +455,8 @@ class TestAgainstLoops:
         ref_value, ref_bits, values = _omega_loop(mat)
         assert value == ref_value
         low = min(values.values())
-        ties = [bits for bits, v in values.items() if v <= low + subsets.OMEGA_SLACK]
+        slack = subsets.OMEGA_SLACK * Frame(mat).max_column_norm()
+        ties = [bits for bits, v in values.items() if v <= low + slack]
         if full_spark(Frame(mat))[0] or len(ties) == 1:
             assert witness.bits == ref_bits
         else:
@@ -423,8 +468,8 @@ class TestAgainstLoops:
         except NotAFrameError:
             assert _tau_loop(mat) == math.inf
 
-    @given(frames())
-    @settings(max_examples=20, deadline=None)
+    @given(frames(offsets=(6, 14), scales=(-150, 150)))
+    @settings(max_examples=30, deadline=None)
     def test_delta_bit_identical_to_one_stack(self, case):
         _, mat = case
         value, witness, _ = delta(Frame(mat))
@@ -527,6 +572,7 @@ def _delta_sampled_loop(mat, budget, seed):
     """Sampled Delta scoring one candidate and one flip at a time."""
     n, m = mat.shape
     full = (1 << m) - 1
+    slack = subsets.OMEGA_SLACK * Frame(mat).max_column_norm() ** 2
     rng = np.random.default_rng(np.random.Philox(key=[seed, 0xDE_17A]))
 
     def value(bits):
@@ -552,14 +598,14 @@ def _delta_sampled_loop(mat, budget, seed):
     best_bits, best_val = None, np.inf
     for bits in sorted(candidates):
         v = value(bits)
-        if v < best_val - 1e-15 or best_bits is None:
+        if v < best_val - slack or best_bits is None:
             best_bits, best_val = bits, v
     for _ in range(20):
         improved = False
         for i in range(m):
             cand = best_bits ^ (1 << i)
             v = value(cand)
-            if v < best_val - 1e-15:
+            if v < best_val - slack:
                 best_bits, best_val, improved = cand, v, True
         if not improved:
             break
@@ -635,8 +681,8 @@ class TestEngineAgainstLoops:
 
     @pytest.mark.parametrize("kernel", [omega, delta])
     def test_exact_kernels_share_the_roundoff_floor(self, kernel, monkeypatch):
-        # columns e1, e1, e2: omega's least set {2} and Delta's one-column
-        # sides have rank-one Grams
+        # columns e1, e1, e2: omega's candidate {0, 1} and Delta's
+        # one-column sides have rank-one Grams
         _eigvalsh_below_floor(monkeypatch)
         with pytest.raises(ConvergenceError):
             kernel(Frame(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])), mode="exact")

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     BudgetExceededError,
+    ConvergenceError,
     NotAFrameError,
     ValidationError,
     VerdictConflictError,
@@ -307,7 +308,10 @@ def lambdaF(frame: Frame) -> tuple[float, np.ndarray]:
     if n == 2:
         z = (mat[0] + 1j * mat[1]) ** 2
         c1, c2 = 0.5 * np.sum(np.abs(z) * z), 0.125 * np.sum(z * z)
-        roots = np.roots([-2.0 * np.conj(c2), -np.conj(c1), 0.0, c1, 2.0 * c2])
+        try:
+            roots = np.roots([-2.0 * np.conj(c2), -np.conj(c1), 0.0, c1, 2.0 * c2])
+        except np.linalg.LinAlgError as exc:  # coefficients beyond the float range
+            raise ConvergenceError(f"Lambda_F critical points not found: {exc}") from exc
         alphas = np.concatenate([[0.0], 0.5 * np.angle(roots)])
         xs = np.column_stack([np.cos(alphas), np.sin(alphas)])
         sums = _quartic_sums(mat, xs)
@@ -504,7 +508,8 @@ def _line_maxima(
 
     ok = passes(np.arange(t.size))
     step = np.ldexp(np.abs(t) + np.linalg.norm(x), -52)
-    while (idx := np.flatnonzero(~ok & (side != 0) & (lo <= t) & (t <= hi))).size:
+    # an infinite t never passes the recheck
+    while (idx := np.flatnonzero(~ok & (side != 0) & (lo <= t) & (t <= hi) & np.isfinite(t))).size:
         t[idx] += side[idx] * step[idx]
         step[idx] *= 2.0
         ok[idx] = passes(idx)
@@ -571,7 +576,7 @@ def q_eps_estimate(
     if gap > eps * (1 + 1e-12):
         best_y, best_d = x.copy(), 0.0
 
-    upper = np.inf if delta_val == 0 else 1.0 / delta_val
+    upper = 1.0 / delta_val if delta_val != 0.0 and omega_val != 0.0 else np.inf
     lower = min(1.0 / eps, np.inf if omega_val == 0 else 1.0 / omega_val)
     q_theory = None
     try:
@@ -593,7 +598,9 @@ def q_eps_estimate(
 
 def q_eps_brackets(frame: Frame, eps: float, analysis: FrameAnalysis | None = None) -> dict:
     """Theory brackets for q_eps: lower min(1/eps, 1/omega), upper 1/Delta,
-    exact 1/omega when eps < tau; Delta = 0 reports an unbounded measure.
+    exact 1/omega when eps < tau.  Delta = 0 or omega = 0 reports an
+    unbounded measure: Delta <= omega, so a nonzero Delta with omega = 0 is
+    the rounding residue of a rank-deficient side.
     A sampled Delta is no upper bracket: without exact Delta and omega this
     raises BudgetExceededError."""
     _check_eps(eps)
@@ -602,7 +609,7 @@ def q_eps_brackets(frame: Frame, eps: float, analysis: FrameAnalysis | None = No
     omega_val, _, omega_exact = analysis.omega
     if not (delta_exact and omega_exact):
         raise BudgetExceededError("Q_eps brackets need exact Delta and omega")
-    bounded = delta_val != 0.0
+    bounded = delta_val != 0.0 and omega_val != 0.0
     return {
         "lower": min(1.0 / eps, 1.0 / omega_val) if bounded else np.inf,
         "upper": 1.0 / delta_val if bounded else np.inf,

@@ -28,10 +28,11 @@ membership rows, with one batched LAPACK call per chunk:
   sigma_n(F_S) = sqrt(max(lambda_min, 0)) from the stacked Grams
   F_S F_S^T, with an absolute error of about m * eps * ||F||^2 / sigma: up
   to 2.5e-10 against the SVD values on seeded 9 x 17 Gaussian frames, where
-  sigma ~ 1e-6.  omega takes sigma_n = 0 for fewer than n columns, which
-  never span; Delta keeps their lambda_min, rounding noise, so that its
-  values match a one-partition-at-a-time loop bit for bit.  Exact omega
-  skips a square row, once it has an incumbent best, when
+  sigma ~ 1e-6.  A set of fewer than n columns never spans, so its
+  sigma_n and lambda_min are 0 exactly and take no eigensolve, in omega
+  and in exact and sampled Delta alike (`_gram_lambda_min`): the lambda_min
+  of its Gram is rounding noise.  Exact omega skips a square row, once it
+  has an incumbent best, when
   L^2 > (best^2 + _PRUNE_ULPS * n * eps * ||F_S||_F^2) * (1 + 8 eps): the
   Gram route's lambda_min is within that allowance of sigma_n^2 >= L^2, so
   the row's value would be at least best and never taken.  Exact Delta,
@@ -39,8 +40,8 @@ membership rows, with one batched LAPACK call per chunk:
   lambda_min >= L where L already takes the node past the prune limit
   (past the incumbent, at a leaf), and drops the node without eigvalsh.
   One routine, `_lambda_min`, reads every lambda_min, exact or sampled,
-  from one batched `eigvalsh` per stack, and raises ConvergenceError below
-  the roundoff floor -EIG_CLAMP_RTOL * lambda_max.
+  from one batched `eigvalsh` per stack, and raises ConvergenceError where
+  eigvalsh fails or below the roundoff floor -EIG_CLAMP_RTOL * lambda_max.
 - Kernel vectors (a0's starts, Q_eps's directions): the last right singular
   vector of F_S^T from its full SVD.
 - Hyperplane sets: H_T is an (n-1)-subset T with every column j whose
@@ -54,9 +55,7 @@ membership rows, with one batched LAPACK call per chunk:
   ||F||_F^2 holds no minimum and is dropped.  The absolute term covers the
   Gram and eigvalsh rounding by which a leaf can fall below its node's
   bound; without it, near-ties at Delta ~ 0 can lose the first minimum.
-  At the leaves, the sides of n columns or more are screened and solved
-  first; a side of fewer columns, whose lambda_min is rounding noise, is
-  solved only for a leaf they leave at or below the incumbent.
+  A side of fewer than n columns counts 0 and is never solved.
 
 Enumeration orders and tie-breaks (the witnesses depend on them):
 
@@ -73,7 +72,8 @@ Enumeration orders and tie-breaks (the witnesses depend on them):
   above the incumbent are dropped, so every tie is reached.  Columns are
   assigned from m-1 (always in S^c) down to 0, and each side's Gram adds
   the outer products f_j f_j^T in that order, starting from zero, so every
-  leaf has the value of a one-partition-at-a-time loop bit for bit.
+  leaf has the value of a one-partition-at-a-time loop that sums its Grams
+  in that order and counts sides of fewer than n columns 0, bit for bit.
 
 Memory: chunks are sized so that their index arrays, stacked blocks and
 Grams take about CHUNK_BYTES whatever m is, and each chunk is stacked once,
@@ -207,8 +207,12 @@ def spans(mat: np.ndarray, member: np.ndarray) -> np.ndarray:
 
 def _lambda_min(grams: np.ndarray) -> np.ndarray:
     """max(lambda_min, 0) per Gram of a stack, from one batched eigvalsh;
-    ConvergenceError below the roundoff floor -EIG_CLAMP_RTOL * lambda_max."""
-    lam = np.linalg.eigvalsh(grams)
+    ConvergenceError where eigvalsh fails or below the roundoff floor
+    -EIG_CLAMP_RTOL * lambda_max."""
+    try:
+        lam = np.linalg.eigvalsh(grams)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"Gram eigensolver did not converge: {exc}") from exc
     low, top = lam[:, 0], lam[:, -1]
     below = low < -EIG_CLAMP_RTOL * np.where(top > 0, top, 1.0)
     if below.any():
@@ -217,19 +221,20 @@ def _lambda_min(grams: np.ndarray) -> np.ndarray:
     return np.maximum(low, 0.0)
 
 
+def _gram_lambda_min(blocks: np.ndarray) -> np.ndarray:
+    """max(lambda_min(F_S F_S^T), 0) per stacked block F_S, by `_lambda_min`.
+    Fewer than n columns never span R^n, so their lambda_min is 0 exactly
+    and takes no eigensolve, which would return rounding noise whose root
+    can reach 1e-8 ||F_S||."""
+    if blocks.shape[2] < blocks.shape[1]:
+        return np.zeros(len(blocks))
+    return _lambda_min(blocks @ blocks.transpose(0, 2, 1))
+
+
 def sigma_n(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """sigma_n(F_S) = sqrt(max(lambda_min(F_S F_S^T), 0)) per row of idx
     (0 for fewer than n columns)."""
-    return _gram_sigma_n(_stack(mat, idx))
-
-
-def _gram_sigma_n(blocks: np.ndarray) -> np.ndarray:
-    """`sigma_n` of stacked blocks F_S.  Fewer than n columns never span
-    R^n, so their sigma_n is 0 exactly: the lambda_min of their Gram is
-    rounding noise, whose root can reach 1e-8 ||F_S||."""
-    if blocks.shape[2] < blocks.shape[1]:
-        return np.zeros(len(blocks))
-    return np.sqrt(_lambda_min(blocks @ blocks.transpose(0, 2, 1)))
+    return np.sqrt(_gram_lambda_min(_stack(mat, idx)))
 
 
 def kernel_vectors(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -240,12 +245,11 @@ def kernel_vectors(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def lower_bounds(mat: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """A[S] = max(lambda_min(F_S F_S^T), 0) per membership row (0 for the
-    empty set), under `_lambda_min`'s roundoff floor."""
+    """A[S] = max(lambda_min(F_S F_S^T), 0) per membership row (0 for fewer
+    than n columns), under `_lambda_min`'s roundoff floor."""
     out = np.zeros(len(member))
     for pos, idx in _by_rows(member):
-        blocks = _stack(mat, idx)
-        out[pos] = _lambda_min(blocks @ blocks.transpose(0, 2, 1))
+        out[pos] = _gram_lambda_min(_stack(mat, idx))
     return out
 
 
@@ -408,7 +412,7 @@ def omega_min(mat: np.ndarray, chunks: Iterable[np.ndarray]) -> tuple[float, int
                 floor = best.value * best.value + _PRUNE_ULPS * n * _EPS * fro2
                 need = lower * lower <= floor * (1 + 8 * _EPS)
                 pos, blocks = pos[need], blocks[need]
-            values[pos] = _gram_sigma_n(blocks)
+            values[pos] = np.sqrt(_gram_lambda_min(blocks))
         best.scan(values, member)
     return float(best.value), _bits(best.key)
 
@@ -432,22 +436,20 @@ def delta_exact(mat: np.ndarray) -> tuple[float, int]:
     lambda_min only grows as columns join it, so a node whose A[S] + A[S^c]
     so far exceeds the incumbent by more than the rounding allowance holds
     no minimum and is dropped.  A side of fewer than n columns counts 0 and
-    is solved only at a leaf.  The frontier is one stack of at most K m
-    nodes, ordered by depth; the deepest K are expanded together, in place.
+    is never solved.  The frontier is one stack of at most K m nodes,
+    ordered by depth; the deepest K are expanded together, in place.
 
     Once there is an incumbent, a side of n columns or more goes through the
     determinant screen before eigvalsh: for a Gram, sigma_n = lambda_min, so
     a side whose bound L takes its node above the prune limit (above the
     incumbent itself at a leaf) keeps L, and the node is dropped unsolved.
-    At the leaves these sides go first, and the sides of fewer than n
-    columns, whose lambda_min is rounding noise, are solved only for the
-    leaves that can still reach the incumbent.  Every kept value and every
-    tie still comes from `_lambda_min`, so values and witnesses are those of
-    the unscreened search.  The screen runs on batches of at least
-    _SCREEN_RATIO rows, and only while it has decided at least one row in
-    _SCREEN_RATIO since the incumbent last fell: per row, the screen takes a
-    quarter to an eighth of the time of eigvalsh on 5 x 5 to 9 x 9 Grams,
-    and a batched call of it has a fixed cost of four to a dozen such rows.
+    Every kept value and every tie still comes from `_lambda_min`, so values
+    and witnesses are those of the unscreened search.  The screen runs on
+    batches of at least _SCREEN_RATIO rows, and only while it has decided at
+    least one row in _SCREEN_RATIO since the incumbent last fell: per row,
+    the screen takes a quarter to an eighth of the time of eigvalsh on 5 x 5
+    to 9 x 9 Grams, and a batched call of it has a fixed cost of four to a
+    dozen such rows.
     Where the incumbent sits far below most sides' lambda_min the screen
     decides nearly every row it tries; where it does not, the bound is too
     loose to decide many, and the screen stops.
@@ -504,9 +506,8 @@ def delta_exact(mat: np.ndarray) -> tuple[float, int]:
                 arr[lo : lo + k] = arr[order]
         return k
 
-    if m == 1:
-        solve(np.arange(2), np.inf)
-        return float(np.sqrt(lows[0, 0] + lows[0, 1])), 0
+    if m == 1:  # S = {}, S^c = {0}
+        return float(np.sqrt(_gram_lambda_min(mat[None])[0])), 0
     depth = 1
     while depth:
         if not counts[depth]:
@@ -528,24 +529,17 @@ def delta_exact(mat: np.ndarray) -> tuple[float, int]:
         sizes[lo:hi] += 1
         lows[lo:hi, 0] = lows[hi:top, 1] = np.nan
         depth += 1
-        if depth < m:  # each child solves the side that changed once it has n columns
-            solve(np.concatenate([
-                2 * (lo + np.flatnonzero(sizes[lo:hi] >= n)),
-                2 * (hi + np.flatnonzero(depth - sizes[hi:top] >= n)) + 1,
-            ]), best * (1 + _PRUNE_RTOL) + slack)
+        # Each child solves its unsolved sides of n columns or more; a leaf
+        # they put above best (a screened side keeps its bound) is neither
+        # the minimum nor a tie.
+        wide = sizes[lo:top, None] * [1, -1] >= [n, n - depth]  # |S| >= n, |S^c| >= n
+        solve(2 * lo + np.flatnonzero(np.isnan(lows[lo:top]) & wide),
+              best if depth == m else best * (1 + _PRUNE_RTOL) + slack)
+        if depth < m:
             counts[depth] = keep(lo, top)
             top = lo + counts[depth]
             continue
-        # Leaves: the unsolved sides of n columns or more first (all of them
-        # while there is no incumbent); a leaf they put above best is neither
-        # the minimum nor a tie, so its other sides are left unsolved.
-        todo = np.isnan(lows[lo:top])
-        wide = sizes[lo:top, None] * [1, -1] >= [n, n - m]  # |S| >= n, |S^c| >= n
-        first = todo & (wide | (best == np.inf))
-        solve(2 * lo + np.flatnonzero(first), best)
-        alive = bound(slice(lo, top)) <= best
-        solve(2 * lo + np.flatnonzero(todo & ~first & alive[:, None]), np.inf)
-        values = np.where(alive, lows[lo:top, 0] + lows[lo:top, 1], np.inf)
+        values = bound(slice(lo, top))
         low = values.min(initial=np.inf)
         if low <= best:
             tied = bits[lo:top][values == low].min()

@@ -221,6 +221,81 @@ class TestBadCounts:
         assert captured.err == "error: --subset-budget must be >= 1, got -5\n"
 
 
+def _mb3_columns() -> np.ndarray:
+    text = resources.files("phasestab.fixtures").joinpath("mb3.json").read_text()
+    return np.array(json.loads(text)["columns"]).T
+
+
+def _duplicated_3x5() -> np.ndarray:
+    mat = np.random.default_rng(9).standard_normal((3, 5))
+    mat[:, 1] = mat[:, 0]
+    return mat
+
+
+EXTREME_FRAMES = {
+    "gauss_2x2": lambda: np.random.default_rng(1).standard_normal((2, 2)),
+    "duplicated_3x5": _duplicated_3x5,
+    "gauss_3x5_1e160": lambda: np.random.default_rng(1).standard_normal((3, 5)) * 1e160,
+    "gauss_2x4_1e80": lambda: np.random.default_rng(0).standard_normal((2, 4)) * 1e80,
+    "gauss_2x4_1e-80": lambda: np.random.default_rng(0).standard_normal((2, 4)) * 1e-80,
+    "mb3_1e-160": lambda: _mb3_columns() * 1e-160,
+}
+
+
+class TestExtremeFrames:
+    """Frames below the 2n - 1 threshold, with a rank-deficient side, or
+    scaled near the ends of the float range.  Each command runs in a child
+    interpreter with a timeout, so a hang fails instead of blocking."""
+
+    @staticmethod
+    def run(tmp_path, name, argv):
+        mat = EXTREME_FRAMES[name]()
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"dim": mat.shape[0], "count": mat.shape[1],
+                                    "columns": mat.T.tolist()}))
+        return subprocess.run(
+            [sys.executable, "-m", "phasestab.cli", argv[0], str(path), *argv[1:]],
+            capture_output=True, text=True, env=subprocess_env(), timeout=120,
+        )
+
+    @pytest.mark.parametrize(
+        "name, x",
+        [("gauss_2x2", "1,1"), ("duplicated_3x5", "1,1,1")],
+    )
+    def test_stability_reports_unbounded(self, tmp_path, name, x):
+        # Delta = 0 below the threshold; omega = 0 with Delta a rounding
+        # residue where a side of n columns is rank deficient
+        proc = self.run(tmp_path, name, ["stability", "--x", x, "--eps", "0.1"])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["brackets"]["unbounded"] is True
+
+    def test_constants_below_threshold(self, tmp_path):
+        proc = self.run(tmp_path, "gauss_2x2", ["constants"])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["Delta"] == 0.0
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("gauss_3x5_1e160", ["stability", "--x", "1,1,1", "--eps", "0.1"]),
+            ("gauss_2x4_1e80", ["constants"]),
+            ("gauss_2x4_1e-80", ["constants"]),
+        ],
+    )
+    def test_unsolvable_scales_exit_2(self, tmp_path, name, argv):
+        # numpy's overflow warnings may come first
+        proc = self.run(tmp_path, name, argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("error: ")
+
+    def test_line_search_ends_at_tiny_scale(self, tmp_path):
+        proc = self.run(tmp_path, "mb3_1e-160", ["stability", "--x=1,1", "--eps", "0.1"])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["Q_estimate"] >= 0
+
+
 class TestCrlb:
     def test_schema_and_values(self, capsys):
         code, out = run_cli(

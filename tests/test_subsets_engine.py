@@ -233,6 +233,58 @@ class TestConstants:
         assert tau(fr) == pytest.approx(oracles.tau_bruteforce(mat), abs=1e-10)
 
 
+@st.composite
+def thin_frames(draw):
+    """n = 2..4 and n <= m <= 2n - 2 columns, below the 2n - 1 that phase
+    retrieval needs: Gaussian, or with a column repeated up to a scale, and
+    scaled as a whole by 1 or 10^+-8."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(n, 2 * n - 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = rng.standard_normal((n, m))
+    if draw(st.booleans()):
+        i, j = rng.choice(m, size=2, replace=False)
+        mat[:, j] = draw(st.sampled_from([1.0, -1.0, 2.5])) * mat[:, i]
+    return mat * draw(st.sampled_from([1.0, 1e-8, 1e8]))
+
+
+class TestNarrowSides:
+    """A set of fewer than n columns never spans: its sigma_n and lambda_min
+    are 0 exactly, and its Gram takes no eigensolve."""
+
+    @given(thin_frames())
+    @SETTINGS
+    def test_exact_delta_is_zero_below_2n_minus_1(self, mat):
+        # some partition has two sides of fewer than n columns
+        value, witness, exact = delta(Frame(mat), mode="exact")
+        assert exact and value == 0.0
+        assert witness.bits < 1 << (mat.shape[1] - 1)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (3, 7), (4, 9)])
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    def test_no_narrow_gram_reaches_eigvalsh(self, shape, mode, monkeypatch):
+        # on a Gaussian frame every Gram of n or more columns is well
+        # conditioned, and every Gram of fewer columns is singular
+        mat = np.random.default_rng(sum(shape)).standard_normal(shape)
+        spectra = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(grams):
+            spectra.append(eigvalsh(grams))
+            return spectra[-1]
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        delta(Frame(mat), mode=mode, budget=64)
+        omega(Frame(mat), mode=mode, budget=64)
+        lam = np.concatenate(spectra)
+        assert (lam[:, 0] > 1e-6 * lam[:, -1]).all()
+
+    def test_one_column_frames(self, monkeypatch):
+        assert delta(Frame(np.array([[-3.0]])), mode="exact")[0] == 3.0
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)  # any eigensolve fails
+        assert delta(Frame(np.array([[3.0], [4.0]])), mode="exact")[0] == 0.0
+
+
 def _square_blocks(mat):
     """(index rows, stacked n x n blocks) of the n-subsets of a frame."""
     n, m = mat.shape
@@ -317,7 +369,7 @@ class TestDeterminantScreen:
 
     def test_exact_delta_leaves_few_grams_to_eigvalsh(self, monkeypatch):
         """Exact Delta on a unit 9 x 17 frame solved 37,195 side Grams
-        before the screen and the deferred leaf solves."""
+        before the determinant screen."""
         mat = np.random.default_rng(917).standard_normal((9, 17))
         solved = []
         eigvalsh = np.linalg.eigvalsh
@@ -400,7 +452,8 @@ def _tau_loop(mat):
 
 def _delta_one_stack(mat):
     """Delta from one 2^m stack of Grams built by adding each bitmask's
-    lowest column last: the per-subset reference the chunks must reproduce."""
+    lowest column last, sides of fewer than n columns counting 0: the
+    per-subset reference the chunks must reproduce."""
     n, m = mat.shape
     outers = np.einsum("ij,kj->jik", mat, mat)
     grams = np.zeros((1 << m, n, n))
@@ -408,6 +461,7 @@ def _delta_one_stack(mat):
         low = bits & -bits
         grams[bits] = grams[bits ^ low] + outers[low.bit_length() - 1]
     lows = np.maximum(np.linalg.eigvalsh(grams)[:, 0], 0.0)
+    lows[[bin(bits).count("1") < n for bits in range(1 << m)]] = 0.0
     half = 1 << (m - 1)
     sums = lows[:half] + lows[((1 << m) - 1) ^ np.arange(half)]
     best = int(np.argmin(sums))
@@ -542,9 +596,10 @@ def _starts_loop(mat):
 
 def _lower_bound_loop(mat, bits):
     """A[S] = lambda_min(F_S F_S^T) of one subset by `eigvalsh`, clamped at 0
-    above the roundoff floor -EIG_CLAMP_RTOL * lambda_max."""
+    above the roundoff floor -EIG_CLAMP_RTOL * lambda_max; 0 for fewer than
+    n columns, which never span."""
     cols = list(indices(bits, mat.shape[1]))
-    if not cols:
+    if len(cols) < mat.shape[0]:
         return 0.0
     evals = np.linalg.eigvalsh(mat[:, cols] @ mat[:, cols].T)
     scale = float(evals[-1]) if evals[-1] > 0 else 1.0
@@ -675,14 +730,15 @@ class TestEngineAgainstLoops:
         assert (value, witness.bits) == _delta_sampled_loop(mat, 64, 2)
 
     def test_roundoff_floor_raises(self, monkeypatch):
+        # columns e1, e1: the side {0, 1} has a rank-one Gram
         _eigvalsh_below_floor(monkeypatch)
         with pytest.raises(ConvergenceError):
-            subsets.partition_bounds(np.eye(2), [1])
+            subsets.partition_bounds(np.array([[1.0, 1.0], [0.0, 0.0]]), [0])
 
     @pytest.mark.parametrize("kernel", [omega, delta])
     def test_exact_kernels_share_the_roundoff_floor(self, kernel, monkeypatch):
-        # columns e1, e1, e2: omega's candidate {0, 1} and Delta's
-        # one-column sides have rank-one Grams
+        # columns e1, e1, e2: omega's candidate {0, 1} and Delta's side
+        # {0, 1} have rank-one Grams
         _eigvalsh_below_floor(monkeypatch)
         with pytest.raises(ConvergenceError):
             kernel(Frame(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])), mode="exact")

@@ -1,3 +1,4 @@
+import json
 import math
 from importlib import resources
 
@@ -6,6 +7,7 @@ import pytest
 
 import oracles
 from phasestab import (
+    DimensionMismatchError,
     Frame,
     LSConfig,
     NoiseModel,
@@ -24,6 +26,7 @@ from phasestab import (
     simulate_measurements,
     standard_basis_frame,
 )
+from phasestab.cli import main
 from phasestab.frame_core import load_frame
 
 MB3 = mercedes_benz_frame()
@@ -172,7 +175,8 @@ class TestLSSolver:
         solver = estimation.minimize
 
         def recording(frame, y, x0):
-            starts.append(np.array(x0))
+            # ls_estimate passes a 1-D y on as a one-row stack
+            starts.append(np.array(x0).reshape(frame.dim))
             return solver(frame, y, x0)
 
         monkeypatch.setattr(estimation, "minimize", recording)
@@ -247,7 +251,10 @@ class TestLSSolver:
             res = estimation.minimize(frame, y, scale * rng.standard_normal(3))
             fallbacks += res.gauss_newton_steps > 0
             assert 0 < res.iterations < estimation.LS_MAX_ITERS
-            assert res.fun == pytest.approx(objective(frame, res.x, y), rel=1e-9, abs=1e-30)
+            # at f ~ 1e-30, f is rounding noise of F^T x: evaluate it in the
+            # solver's order, a fixed-order sum over the n coordinates
+            r = estimation._coeffs(frame.matrix, res.x) ** 2 - y
+            assert res.fun == pytest.approx(float(np.sum(r * r)), rel=1e-9, abs=1e-30)
             assert res.fun < 1e-20
             assert dist_d(res.x, x) < 1e-10
         assert fallbacks >= 1
@@ -263,45 +270,90 @@ class TestLSSolver:
         frame = unit_frame(rng, 3, 6)
         y = np.abs(rng.standard_normal(6))
         grid = np.linspace(-6.0, 6.0, 24001)
-        for _ in range(50):
-            x = rng.standard_normal(3)
-            dirs = rng.standard_normal((2, 3))
-            c = x @ frame.matrix
-            t, j = estimation._line_min(frame.matrix, c, c * c - y, dirs)
-            best = objective(frame, x + t * dirs[j], y)
-            points = x + grid[:, None, None] * dirs          # (grid, line, n)
+        x = rng.standard_normal((50, 3))
+        dirs = rng.standard_normal((50, 2, 3))
+        c = x @ frame.matrix
+        t, j = estimation._line_min(frame.matrix, c, c * c - y, dirs, np.ones((50, 2), bool))
+        for i in range(50):
+            best = objective(frame, x[i] + t[i] * dirs[i, j[i]], y)
+            points = x[i] + grid[:, None, None] * dirs[i]    # (grid, line, n)
             resid = (points @ frame.matrix) ** 2 - y
             dense = float(np.min(np.sum(resid**2, axis=-1)))
             assert best <= dense + 1e-12 * max(dense, 1.0)
 
+    def test_line_min_skips_invalid_lines(self):
+        # a lane whose second line is masked searches the gradient line alone
+        rng = np.random.default_rng(19)
+        frame = unit_frame(rng, 3, 6)
+        y = np.abs(rng.standard_normal(6))
+        x = rng.standard_normal((20, 3))
+        dirs = rng.standard_normal((20, 2, 3))
+        c = x @ frame.matrix
+        valid = np.ones((20, 2), bool)
+        valid[::2, 1] = False
+        t, j = estimation._line_min(frame.matrix, c, c * c - y, dirs, valid)
+        alone, j_alone = estimation._line_min(
+            frame.matrix, c[::2], (c * c - y)[::2], dirs[::2, :1], valid[::2, :1]
+        )
+        assert np.all(j[::2] == 0) and np.all(j_alone == 0)
+        np.testing.assert_array_equal(t[::2], alone)
+
     def test_cubic_roots_match_numpy(self):
         rng = np.random.default_rng(10)
-        for _ in range(2000):
-            a, b, c = rng.standard_normal(3) * 10.0 ** rng.uniform(-3, 3, 3)
+        coeffs = rng.standard_normal((2000, 3)) * 10.0 ** rng.uniform(-3, 3, (2000, 3))
+        roots = estimation._cubic_roots(*coeffs.T)
+        for (a, b, c), row in zip(coeffs, roots):
             ref = np.roots([1.0, a, b, c])
             ref = np.sort(ref[np.abs(ref.imag) < 1e-6 * np.maximum(1.0, np.abs(ref))].real)
-            got = np.sort(estimation._cubic_roots(a, b, c))
+            got = np.sort(row[~np.isnan(row)])
             if len(got) != len(ref):   # a near-double root, split differently
                 continue
             np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9 * max(1.0, np.abs(ref).max()))
+
+    def test_cubic_roots_mixed_batch(self):
+        # (t - 1)(t - 2)(t - 3) has three roots, t^3 + t + 1 one; in a mixed
+        # batch each lane equals its own one-lane call
+        coeffs = np.array([[-6.0, 11.0, -6.0], [1.0, 1.0, 1.0]] * 4)
+        roots = estimation._cubic_roots(*coeffs.T)
+        assert [int(np.sum(~np.isnan(row))) for row in roots] == [3, 1] * 4
+        np.testing.assert_allclose(np.sort(roots[0]), [1.0, 2.0, 3.0], rtol=1e-14)
+        for (a, b, c), row in zip(coeffs, roots):
+            np.testing.assert_array_equal(estimation._cubic_roots(a, b, c), row)
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
     def test_cubic_roots_near_convergence(self, eps):
         # the line-search cubic of a short Newton step: one root near t = 1,
         # the others of size 1/eps, where the closed form loses the small one
         k1, k2, k3, k4 = -2.0, 1.0, eps, eps**2
-        roots = estimation._cubic_roots(0.75 * k3 / k4, 0.5 * k2 / k4, 0.25 * k1 / k4)
-        small = min(roots, key=abs)
+        coeffs = np.array([0.75 * k3 / k4, 0.5 * k2 / k4, 0.25 * k1 / k4])
+        roots = estimation._cubic_roots(*coeffs)
+        small = min(roots[~np.isnan(roots)], key=abs)
         assert abs(small - 1.0) < 10 * eps
         assert abs(((4 * k4 * small + 3 * k3) * small + 2 * k2) * small + k1) < 1e-13
 
     def test_cho_solve_rejects_indefinite(self):
         h = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
-        b = [1.0, -2.0, 0.5]
-        got = estimation._cho_solve(h.tolist(), b)
-        np.testing.assert_allclose(got, np.linalg.solve(h, b), rtol=1e-14)
-        assert estimation._cho_solve((-h).tolist(), b) is None
-        assert estimation._cho_solve([[1.0, 2.0], [2.0, 1.0]], [1.0, 1.0]) is None
+        b = np.array([1.0, -2.0, 0.5])
+        got, ok = estimation._cho_solve(h[None], b[None])
+        assert ok[0]
+        np.testing.assert_allclose(got[0], np.linalg.solve(h, b), rtol=1e-14)
+        assert not estimation._cho_solve((-h)[None], b[None])[1][0]
+        assert not estimation._cho_solve(np.array([[[1.0, 2.0], [2.0, 1.0]]]), np.ones((1, 2)))[1][0]
+
+    def test_cho_solve_mixed_batch(self):
+        # positive definite and indefinite lanes side by side: the flags
+        # match eigvalsh, and each definite lane solves its own system
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((40, 4, 4))
+        a = a @ np.swapaxes(a, 1, 2) - rng.uniform(0.0, 3.0, (40, 1, 1)) * np.eye(4)
+        b = rng.standard_normal((40, 4))
+        got, ok = estimation._cho_solve(a, b)
+        definite = np.linalg.eigvalsh(a)[:, 0] > 0
+        assert 0 < definite.sum() < 40
+        np.testing.assert_array_equal(ok, definite)
+        for i in np.flatnonzero(ok):
+            np.testing.assert_allclose(got[i], np.linalg.solve(a[i], b[i]), rtol=1e-9)
+            np.testing.assert_array_equal(got[i], estimation._cho_solve(a[i:i + 1], b[i:i + 1])[0][0])
 
 
 class TestMSE:
@@ -324,3 +376,148 @@ class TestMSE:
         assert len(run.per_trial) == 20
         ds = [row[2] for row in run.per_trial]
         assert run.mse == pytest.approx(np.mean(np.square(ds)), rel=1e-12)
+
+
+def noisy_stack(frame, rows, sigma=0.05, seed=5):
+    rng = np.random.default_rng([seed, frame.count])
+    x = rng.standard_normal(frame.dim)
+    x /= np.linalg.norm(x)
+    return x, np.array([
+        simulate_measurements(frame, x, NoiseModel(sigma), seed=seed, trial=t)
+        for t in range(rows)
+    ])
+
+
+def same_result(a, b):
+    return all(np.array_equal(u, v) for u, v in zip(a, b))
+
+
+class TestBatched:
+    """Stacked `minimize` and `ls_estimate` calls: one lockstep call per start,
+    and every row solved as if alone."""
+
+    FRAMES = {"mb3": lambda: MB3, "gauss_4x11": lambda: fixture_frame("gauss_4x11"),
+              "unit_3x5": lambda: unit_frame(np.random.default_rng(35), 3, 5)}
+
+    @pytest.mark.parametrize("trials", [1, 7, 200])
+    def test_one_ls_estimate_call_and_one_minimize_call_per_start(self, trials, monkeypatch):
+        calls = {"ls_estimate": 0, "minimize": 0}
+        for name in calls:
+            original = getattr(estimation, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(estimation, name, counting)
+        for restarts in (4, 7):
+            calls.update(ls_estimate=0, minimize=0)
+            run = mse_monte_carlo(MB3, np.array([0.6, 0.8]), 0.05, trials, seed=3,
+                                  ls_cfg=LSConfig(restarts=restarts))
+            assert len(run.per_trial) == trials
+            assert calls == {"ls_estimate": 1, "minimize": restarts}
+
+    def test_patched_ls_estimate_reaches_simulate_output(self, monkeypatch, capsys, tmp_path):
+        # an estimator that always answers 0 puts d = ||x|| in every row
+        monkeypatch.setattr(estimation, "ls_estimate",
+                            lambda frame, y, cfg=None: np.zeros(np.shape(y)[:-1] + (frame.dim,)))
+        csv = tmp_path / "t.csv"
+        argv = ["simulate", "--fixture", "mb3", "--x", "0.6,0.8", "--sigma", "0.01",
+                "--trials", "6", "--csv-out", str(csv)]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["mse"] == pytest.approx(1.0, rel=1e-15)
+        rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+        assert [float(r[2]) for r in rows] == pytest.approx([1.0] * 6, rel=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(FRAMES))
+    @pytest.mark.parametrize("rows", [1, 7, 200])
+    def test_minimize_lanes_equal_one_row_calls(self, name, rows):
+        frame = self.FRAMES[name]()
+        _, y = noisy_stack(frame, rows)
+        x0 = np.random.default_rng(rows).standard_normal((rows, frame.dim))
+        stacked = estimation.minimize(frame, y, x0)
+        assert stacked.x.shape == (rows, frame.dim) and stacked.fun.shape == (rows,)
+        for i in range(rows):
+            alone = estimation.minimize(frame, y[i], x0[i])
+            assert isinstance(alone.fun, float) and isinstance(alone.iterations, int)
+            assert same_result(alone, [v[i] for v in stacked]), i
+        perm = np.random.default_rng(1).permutation(rows)
+        shuffled = estimation.minimize(frame, y[perm], x0[perm])
+        assert same_result(shuffled, [v[perm] for v in stacked])
+
+    @pytest.mark.parametrize("name", sorted(FRAMES))
+    @pytest.mark.parametrize("rows", [1, 7, 200])
+    def test_ls_estimate_rows_equal_one_row_calls(self, name, rows):
+        frame = self.FRAMES[name]()
+        _, y = noisy_stack(frame, rows)
+        cfg = LSConfig(restarts=4, seed=11)
+        perm = np.random.default_rng(2).permutation(rows)
+        for stack in (y, y[perm]):
+            got = ls_estimate(frame, stack, cfg)
+            assert got.shape == (rows, frame.dim)
+            for i in range(rows):
+                row_cfg = LSConfig(restarts=4, seed=estimation._row_seed(cfg.seed, i))
+                np.testing.assert_array_equal(got[i], ls_estimate(frame, stack[i], row_cfg))
+
+    def test_stack_spanning_several_chunks(self, monkeypatch):
+        frame = fixture_frame("gauss_4x11")
+        _, y = noisy_stack(frame, 40)
+        cfg = LSConfig(restarts=3, seed=4)
+        whole = ls_estimate(frame, y, cfg)
+        x0 = np.random.default_rng(0).standard_normal((40, 4))
+        whole_min = estimation.minimize(frame, y, x0)
+        chunks = []
+        row_chunks = estimation._row_chunks
+        monkeypatch.setattr(estimation, "CHUNK_BYTES", 8 * 11 * 16 * 6)
+        monkeypatch.setattr(estimation, "_row_chunks",
+                            lambda *args: chunks.append(row_chunks(*args)) or chunks[-1])
+        np.testing.assert_array_equal(ls_estimate(frame, y, cfg), whole)
+        assert same_result(estimation.minimize(frame, y, x0), whole_min)
+        assert min(len(c) for c in chunks) >= 5
+
+    def test_simulate_rows_do_not_depend_on_trial_count(self, capsys, tmp_path):
+        def rows(trials):
+            csv = tmp_path / f"{trials}.csv"
+            assert main(["simulate", "--fixture", "gauss_4x11", "--x", "1,0,0,0", "--sigma",
+                         "0.05", "--trials", str(trials), "--seed", "3",
+                         "--csv-out", str(csv)]) == 0
+            capsys.readouterr()
+            return csv.read_text().splitlines()
+
+        assert rows(10) == rows(25)[:11]
+
+    def test_zero_row_gives_zeros_for_that_row_only(self, monkeypatch):
+        _, y = noisy_stack(MB3, 5)
+        y[2] = 0.0
+        cfg = LSConfig(restarts=4, seed=6)
+        lanes = []
+        solver = estimation.minimize
+        monkeypatch.setattr(estimation, "minimize",
+                            lambda frame, y, x0: lanes.append(len(y)) or solver(frame, y, x0))
+        got = ls_estimate(MB3, y, cfg)
+        assert lanes == [4] * 4
+        assert np.array_equal(got[2], np.zeros(2))
+        for i in (0, 1, 3, 4):
+            row_cfg = LSConfig(restarts=4, seed=estimation._row_seed(cfg.seed, i))
+            np.testing.assert_array_equal(got[i], ls_estimate(MB3, y[i], row_cfg))
+        assert np.array_equal(ls_estimate(MB3, np.zeros((3, 3))), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_named(self, bad):
+        _, y = noisy_stack(MB3, 6)
+        y[3, 1] = bad
+        with pytest.raises(ValidationError, match=r"measurements must be finite \(row 3\)"):
+            ls_estimate(MB3, y)
+
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 4), (3,) * 3, ()])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            ls_estimate(MB3, np.ones(shape))
+
+    def test_canonicalize_rows(self):
+        x = np.array([[0.0, -1.0, 2.0], [0.0, 0.0, 0.0], [3.0, -1.0, 0.0], [-0.0, 2.0, -1.0]])
+        got = canonicalize(x)
+        for row, want in zip(got, x):
+            np.testing.assert_array_equal(row, canonicalize(want))
+        np.testing.assert_array_equal(got[0], [0.0, 1.0, -2.0])

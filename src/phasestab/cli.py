@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from importlib import resources
@@ -232,15 +233,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser()`, built once per process: a build costs far more than
+    a parse and leaves memory behind, and `main` may run many times."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         if getattr(args, "subset_budget", 1) < 1:
             raise ValidationError(f"--subset-budget must be >= 1, got {args.subset_budget}")
+        if not -(2**63) <= args.seed < 2**63:
+            raise ValidationError(f"--seed must be in [-2^63, 2^63), got {args.seed}")
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

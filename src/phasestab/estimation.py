@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularFisherError, ValidationError
-from .frame_core import Frame, _check_vector, analysis_map_sq, sym_eig
+from .frame_core import Frame, _check_vector, _philox, analysis_map_sq, sym_eig
 from .injectivity import A0Config, a0 as a0_search, r_matrix
 from .subsets import CHUNK_BYTES
 
@@ -77,10 +77,6 @@ def canonicalize(x: np.ndarray) -> np.ndarray:
     return np.where(flip, -x, x)
 
 
-def _stream(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.Philox(key=[seed, trial]))
-
-
 def simulate_measurements(
     frame: Frame,
     x: np.ndarray,
@@ -94,7 +90,7 @@ def simulate_measurements(
     y = analysis_map_sq(frame, x)
     if noise is None:
         return y
-    rng = _stream(seed, trial)
+    rng = _philox(seed, trial)
     return y + noise.sigma * rng.standard_normal(frame.count)
 
 
@@ -117,7 +113,7 @@ def fisher_empirical(
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     coeffs = frame.matrix.T @ x                       # <x, f_k>
-    rng = _stream(seed, 0)
+    rng = _philox(seed, 0)
     nu = sigma * rng.standard_normal((trials, frame.count))
     # score = (1/sigma^2) sum_k (y_k - <x,f_k>^2) * 2 <x,f_k> f_k
     scores = (2.0 / sigma**2) * (nu * coeffs) @ frame.matrix.T   # (trials, n)
@@ -449,7 +445,7 @@ def ls_estimate(frame: Frame, y: np.ndarray, cfg: LSConfig | None = None) -> np.
         ys = ys[live]
         scale = np.sqrt(np.maximum(np.mean(np.abs(ys), axis=1), 1e-12))
         draws = np.array([
-            _stream(_row_seed(cfg.seed, int(i)), 0x15E).standard_normal((cfg.restarts - 1, frame.dim))
+            _philox(_row_seed(cfg.seed, int(i)), 0x15E).standard_normal((cfg.restarts - 1, frame.dim))
             for i in live
         ])
         best_x = np.zeros((len(live), frame.dim))

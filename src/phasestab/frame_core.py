@@ -116,6 +116,15 @@ class SubsetMask:
         return bool(self.bits >> i & 1)
 
 
+def _philox(seed: int, tag: int) -> np.random.Generator:
+    """The Philox stream keyed by the words (seed, tag), each taken modulo
+    2^64.  For int64 seeds and tags this is the stream of
+    Philox(key=[seed, tag]); that list key turns into float64 from 2^63 up,
+    which merges distinct seeds, and overflows outside [-2^63, 2^64)."""
+    key = np.array([seed % 2**64, tag % 2**64], dtype=np.uint64)
+    return np.random.default_rng(np.random.Philox(key=key))
+
+
 def sym_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a real symmetric matrix or of a stack (k, n, n).
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import subsets
 from .errors import BudgetExceededError, ValidationError
-from .frame_core import Frame, null_vector
+from .frame_core import Frame, _philox, null_vector
 from .robustness import _with_omega_partition, delta as delta_op, omega as omega_op, tau as tau_op
 from .injectivity import full_spark
 
@@ -57,7 +57,7 @@ def _check_trials(trials: int) -> None:
 
 
 def _stream(seed: int, tag: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.Philox(key=[seed, (tag << 32) | trial]))
+    return _philox(seed, (tag << 32) | trial)
 
 
 def gaussian_frame(spec: EnsembleSpec, trial: int = 0) -> Frame:

@@ -23,6 +23,7 @@ from .frame_core import (
     Frame,
     SubsetMask,
     _check_vector,
+    _philox,
     analysis_map,
     analysis_map_sq,
     dist_d,
@@ -140,7 +141,7 @@ def delta(
     if budget < 1:
         raise ValidationError(f"sampled Delta needs a budget >= 1, got {budget}")
 
-    rng = np.random.default_rng(np.random.Philox(key=[seed, 0xDE_17A]))
+    rng = _philox(seed, 0xDE_17A)
 
     candidates: set[int] = {0}
     # Thin subsets: singletons and complements of (n-1)-subsets of nearby sizes.
@@ -204,7 +205,7 @@ def omega(
     if budget < 1:
         raise ValidationError(f"sampled omega needs a budget >= 1, got {budget}")
 
-    rng = np.random.default_rng(np.random.Philox(key=[seed, 0x03E_6A]))
+    rng = _philox(seed, 0x03E_6A)
     draws = (rng.choice(m, size=n - 1, replace=False) for _ in range(budget))
     value, bits = subsets.omega_complements(frame.matrix, draws)
     return value, SubsetMask(bits, m), False
@@ -316,7 +317,7 @@ def lambdaF(frame: Frame) -> tuple[float, np.ndarray]:
         xs = np.column_stack([np.cos(alphas), np.sin(alphas)])
         sums = _quartic_sums(mat, xs)
     else:
-        rng = np.random.default_rng(np.random.Philox(key=[0, 0x1A_4F]))
+        rng = _philox(0, 0x1A_4F)
         xs = _unit_rows(np.vstack([np.eye(n), mat.T, rng.standard_normal((LAMBDA_RESTARTS, n))]))
         negs = -_quartic_sums(mat, xs)
         _sphere_descent(
@@ -550,7 +551,7 @@ def q_eps_estimate(
     delta_val, omega_val = analysis.delta[0], analysis.omega[0]
     a_lower, _ = frame_bounds(frame)
 
-    rng = np.random.default_rng(np.random.Philox(key=[cfg.seed, 0x9E_95]))
+    rng = _philox(cfg.seed, 0x9E_95)
     dirs = [s * u for u in _structured_directions(frame, analysis) for s in (1.0, -1.0)]
     dirs = np.vstack([dirs, rng.standard_normal((cfg.restarts, frame.dim))])
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -47,7 +47,10 @@ membership rows, with one batched LAPACK call per chunk:
 - Hyperplane sets: H_T is an (n-1)-subset T with every column j whose
   n-subset T + j fails the rank rule.  If the columns span R^n, every set
   that does not span lies in some H_T, so the complement property and exact
-  omega need only the sets H_T^c, never the 2^m subsets.
+  omega need only the sets H_T^c, never the 2^m subsets.  One rank pass
+  over the n-subsets (`_deficient`) serves full spark, which stops at its
+  first deficient row, and the hyperplane sets, which keep its verdicts as
+  one bit per n-subset at the subset's colex rank.
 - Exact Delta never walks the 2^(m-1) partitions either: `delta_exact` is a
   depth-first branch-and-bound that assigns columns to S or S^c.  A side's
   lambda_min only grows as columns join it, so a node whose A[S] + A[S^c]
@@ -78,7 +81,10 @@ Enumeration orders and tie-breaks (the witnesses depend on them):
 Memory: chunks are sized so that their index arrays, stacked blocks and
 Grams take about CHUNK_BYTES whatever m is, and each chunk is stacked once,
 for the screen and for the rows it leaves; first-hit kernels start with
-small chunks and double them, so an early witness costs little.  Exact
+small chunks and double them, so an early witness costs little.  The
+hyperplane sets' C(m, n)-bit array of rank verdicts, at most
+FULL_SPARK_BUDGET / 8 bytes, is the only structure kept outside a chunk;
+their rank lookups take a few k x m arrays per chunk of k rows.  Exact
 Delta keeps its frontier in one stack of K m nodes, allocated once per
 call and written in place: at most CHUNK_BYTES / 2 (2 MiB on a 9 x 17
 frame) whether or not nodes are dropped, and at most 2^(m-2) nodes of two
@@ -91,6 +97,7 @@ chunking.
 from __future__ import annotations
 
 from itertools import combinations, islice
+from math import comb
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -191,9 +198,7 @@ def full_rank(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
     lower, fro2 = _det_lower(blocks)
     # sigma_1 <= ||F_S||_F, so the rule holds, with a factor 2 for SVD rounding
     ok = lower > 2 * RANK_RTOL * np.sqrt(fro2)
-    rest = ~ok
-    if rest.any():
-        ok[rest] = _rank_rule(np.linalg.svd(blocks[rest], compute_uv=False), n)
+    ok[~ok] = _rank_rule(np.linalg.svd(blocks[~ok], compute_uv=False), n)
     return ok
 
 
@@ -292,15 +297,20 @@ class SlackMin:
 # Kernels.
 # ---------------------------------------------------------------------------
 
+def _deficient(mat: np.ndarray) -> Iterator[np.ndarray]:
+    """The one n-subset rank pass: per chunk of n-subsets in combinations
+    order, the rows whose columns do not span R^n (`full_rank`), in order.
+    The chunks start small and double, so a reader that stops at its first
+    deficient row costs little."""
+    n, m = mat.shape
+    for idx in chunked(combinations(range(m), n), n, n):
+        yield idx[~full_rank(mat, idx)]
+
+
 def first_deficient(mat: np.ndarray) -> np.ndarray | None:
     """The first n-subset in combinations order whose columns do not span
     R^n, or None when the frame is full spark (needs m >= n)."""
-    n, m = mat.shape
-    for idx in chunked(combinations(range(m), n), n, n):
-        ok = full_rank(mat, idx)
-        if not ok.all():
-            return idx[int(np.argmin(ok))]
-    return None
+    return next((bad[0] for bad in _deficient(mat) if len(bad)), None)
 
 
 def _bits(member: np.ndarray) -> int:
@@ -308,37 +318,49 @@ def _bits(member: np.ndarray) -> int:
     return sum(1 << int(j) for j in np.flatnonzero(member))
 
 
-def _complements(rows: Iterable, n: int, m: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(index rows, membership rows of their complements) of the
-    (n-1)-element rows, in chunks."""
-    for comp in chunked(rows, n - 1, n, cols=m - n + 1):
+def _complements(rows: Iterable, n: int, m: int) -> Iterator[np.ndarray]:
+    """Membership rows of the complements of the (n-1)-element rows, in
+    chunks sized for their blocks of m - n + 1 columns and for the rank
+    lookup of `hyperplane_complements`, about six k x m int64 arrays for k
+    rows, counted as ceil(3 m / n) more columns: 8 (2 n + 1) 3 m / n >=
+    48 m bytes per row."""
+    for comp in chunked(rows, n - 1, n, cols=m - n + 1 + -(-3 * m // n)):
         keep = np.ones((len(comp), m), dtype=bool)
         keep[np.arange(len(comp))[:, None], comp] = False
-        yield comp, keep
+        yield keep
 
 
 def hyperplane_complements(mat: np.ndarray) -> Iterator[np.ndarray]:
     """Membership rows of S = H_T^c, in chunks, for the (n-1)-subsets T in
-    combinations order (see the module docstring), from one rank pass over
-    the n-subsets; only the T inside a deficient n-subset are kept whole.  A
-    T whose H_T holds every column (rank below n-1) is left out; when that
-    leaves none (no n-subset spans R^n), the one row S = {} instead."""
+    combinations order (see the module docstring).  The one rank pass over
+    the n-subsets marks each deficient n-subset U as one bit at its colex
+    rank, sum_i C(u_i, i + 1); H_T^c then drops each j whose T + j is
+    marked.  A T whose H_T holds every column (rank below n-1) is left out;
+    when no n-subset spans R^n, every H_T holds every column, and the one
+    row S = {} comes instead."""
     n, m = mat.shape
-    extra: dict[tuple, list[int]] = {}
-    for idx in chunked(combinations(range(m), n), n, n):
-        for row in idx[~full_rank(mat, idx)].tolist():
-            for p, j in enumerate(row):
-                extra.setdefault(tuple(row[:p] + row[p + 1:]), []).append(j)
-    found = False
-    for comp, keep in _complements(combinations(range(m), n - 1), n, m):
-        for i, t in enumerate(map(tuple, comp.tolist()) if extra else ()):
-            if t in extra:
-                keep[i, extra[t]] = False
-        keep = keep[keep.any(axis=1)]
-        found |= len(keep) > 0
-        yield keep
-    if not found:
+    total = comb(m, n)
+    # C(a, b) at [b, a] for a < m, b <= n, capped at C(m, n): every term of a
+    # rank is below C(m, n), so the cap changes none
+    binom = np.array([[min(comb(a, b), total) for a in range(m)] for b in range(n + 1)], dtype=np.int64)
+    marks = np.zeros(total // 8 + 1, dtype=np.uint8)
+    for bad in _deficient(mat):
+        rank = binom[np.arange(1, n + 1), bad].sum(axis=1)
+        np.bitwise_or.at(marks, rank >> 3, (1 << (rank & 7)).astype(np.uint8))
+    if np.bitwise_count(marks).sum() == total:
         yield np.zeros((1, m), dtype=bool)
+        return
+    for keep in _complements(combinations(range(m), n - 1), n, m):
+        if marks.any():  # else full spark: H_T = T
+            # For j not in T, the colex rank of T + j is C(j, e_j + 1) plus,
+            # over t in T, C(t, e_t + 1), or C(t, e_t) for t below j, where
+            # e_c counts the t <= c.  A j in T gets 0.  Every array is k x m.
+            e = np.cumsum(~keep, axis=1)
+            up = np.take_along_axis(binom, e + 1, axis=0)
+            low = np.where(keep, 0, np.take_along_axis(binom, e, axis=0) - up)
+            rank = np.where(keep, up + (up * ~keep).sum(axis=1, keepdims=True) + np.cumsum(low, axis=1), 0)
+            keep &= (marks[rank >> 3] >> (rank & 7) & 1) == 0
+        yield keep[keep.any(axis=1)]
 
 
 def _row_bits(member: np.ndarray) -> np.ndarray:
@@ -422,7 +444,7 @@ def omega_complements(mat: np.ndarray, rows: Iterable) -> tuple[float, int]:
     (n-1)-element index rows, in order, with omega's tie-break: omega of a
     full-spark frame when the rows are all (n-1)-subsets."""
     n, m = mat.shape
-    return omega_min(mat, (keep for _, keep in _complements(rows, n, m)))
+    return omega_min(mat, _complements(rows, n, m))
 
 
 def delta_exact(mat: np.ndarray) -> tuple[float, int]:

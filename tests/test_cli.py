@@ -11,6 +11,7 @@ import pytest
 
 import phasestab
 from phasestab import A0Config, ValidationError, estimation, robustness
+from phasestab import cli
 from phasestab.cli import main
 
 
@@ -381,6 +382,58 @@ class TestRandomStudy:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error: trials must be >= 1\n"
+
+
+SEED_ARGV = [
+    ["certify", "--fixture", "mb3"],
+    ["constants", "--fixture", "mb3"],
+    ["stability", "--fixture", "mb3", "--x", "0.6,0.8", "--eps", "0.1"],
+    ["crlb", "--fixture", "mb3", "--x", "0.6,0.8", "--sigma", "0.1"],
+    ["simulate", "--fixture", "mb3", "--x", "1,0", "--sigma", "0.1", "--trials", "5"],
+    ["random-study", "--study", "minimal", "--n-list", "3", "--trials", "1"],
+]
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", [2**63, 2**64 - 1, 2**64, -(2**63) - 1])
+    @pytest.mark.parametrize("argv", SEED_ARGV, ids=[a[0] for a in SEED_ARGV])
+    def test_out_of_range_exit_2(self, argv, seed, capsys):
+        code = main(argv + ["--seed", str(seed)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: --seed must be in [-2^63, 2^63), got {seed}\n"
+
+    @pytest.mark.parametrize("seed", [-(2**63), 2**63 - 1])
+    def test_int64_ends_run(self, seed, capsys):
+        code, out = run_cli(SEED_ARGV[4] + ["--seed", str(seed)], capsys)
+        assert code == 0
+        assert out.split("trial,residual,d\n")[1].count("\n") == 5
+
+
+class TestParser:
+    def test_built_once_per_process(self, monkeypatch, capsys):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        for _ in range(3):
+            assert run_cli(["certify", "--fixture", "basis2"], capsys)[0] == 0
+        assert main(["certify", "--no-such-flag"]) == 2
+        assert len(builds) == 1
+
+    def test_help_usage_error_then_a_run_match_fresh_processes(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        runs = [["--help"], ["certify", "--no-such-flag"], ["certify", "--fixture", "mb3"]]
+        for argv, want in zip(runs, [0, 2, 0]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            proc = subprocess.run(
+                [sys.executable, "-m", "phasestab.cli", *argv],
+                capture_output=True, text=True, env={**subprocess_env(), "COLUMNS": "80"},
+            )
+            assert code == proc.returncode == want
+            assert (captured.out, captured.err) == (proc.stdout, proc.stderr)
 
 
 class TestReproducibility:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -277,3 +278,25 @@ class TestIO:
     def test_bad_json_dict(self):
         with pytest.raises(ValidationError):
             frame_from_json_dict({"cols": []})
+
+
+class TestSeedStreams:
+    TAGS = [0, 0x61_30, 0x15E, 0xDE_17A, (5 * 1_000_003 + 11) << 32 | 3]
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, -1, -2, -(2**63), 2**63 - 1, 2**40 + 3, -(2**35)])
+    def test_int64_seeds_keep_their_streams(self, seed):
+        for tag in self.TAGS:
+            old = np.random.default_rng(np.random.Philox(key=[seed, tag])).standard_normal(8)
+            assert np.array_equal(frame_core._philox(seed, tag).standard_normal(8), old)
+
+    def test_seeds_past_int64_are_distinct(self):
+        """The redundancy study passes seed + trial, which passes 2^63 - 1
+        even when seed does not; a float64 key would merge these seeds."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = {
+                frame_core._philox(2**63 - 1 + t, tag).standard_normal(4).tobytes()
+                for t in range(4) for tag in (0, 0x03E_6A)
+            }
+            draws |= {frame_core._philox(2**64 - t, 0).standard_normal(4).tobytes() for t in (1, 2)}
+        assert len(draws) == 10

@@ -580,6 +580,97 @@ class TestAgainstLoops:
         assert sum(solved) <= 0.4 * 2**17
 
 
+def _hyperplane_rows_dict(mat):
+    """The H_T^c membership rows, in combinations order of T, from a dict
+    that maps each (n-1)-subset inside a deficient n-subset to the columns
+    that complete it: the (n-1)-tuple map the bit array replaced, with the
+    same rank verdicts."""
+    n, m = mat.shape
+    extra = {}
+    for idx in subsets.chunked(itertools.combinations(range(m), n), n, n):
+        for row in idx[~subsets.full_rank(mat, idx)].tolist():
+            for p, j in enumerate(row):
+                extra.setdefault(tuple(row[:p] + row[p + 1:]), []).append(j)
+    rows = []
+    for t in itertools.combinations(range(m), n - 1):
+        keep = np.ones(m, dtype=bool)
+        keep[list(t) + extra.get(t, [])] = False
+        if keep.any():
+            rows.append(keep)
+    return np.array(rows or [np.zeros(m, dtype=bool)]).reshape(-1, m)
+
+
+@st.composite
+def hyperplane_frames(draw):
+    """n in 1..5, m from n - 1 to 2n + 4: Gaussian, a column repeated, a
+    column the sum of two others, all columns but one in a hyperplane, or
+    rank below n, where no n-subset spans."""
+    kind = draw(st.sampled_from(["random", "duplicated", "sum_of_two", "coplanar", "low_rank"]))
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(max(1, n - 1), 2 * n + 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = rng.standard_normal((n, m))
+    if kind == "duplicated" and m >= 2:
+        i, j = rng.choice(m, size=2, replace=False)
+        mat[:, j] = mat[:, i]
+    elif kind == "sum_of_two" and m >= 3:
+        i, j, k = rng.choice(m, size=3, replace=False)
+        mat[:, k] = mat[:, i] + mat[:, j]
+    elif kind == "coplanar":
+        mat[-1, : m - 1] = 0.0
+    elif kind == "low_rank":
+        mat = rng.standard_normal((n, n - 1)) @ rng.standard_normal((n - 1, m))
+    return mat
+
+
+_WIDE = np.random.default_rng(270).standard_normal((2, 70))
+_WIDE[:, 41] = _WIDE[:, 12]
+
+
+class TestHyperplaneSets:
+    @given(hyperplane_frames())
+    @example(_WIDE)
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_the_tuple_map(self, mat):
+        rows = np.concatenate(list(subsets.hyperplane_complements(mat)))
+        assert _same_bits(rows, _hyperplane_rows_dict(mat))
+
+    def test_exact_omega_memory_is_capped(self):
+        """20 columns, 19 in one hyperplane: the rank verdicts of all
+        C(20, 7) n-subsets stay one bit each, and only chunks come on top."""
+        mat = np.random.default_rng(720).standard_normal((7, 20))
+        mat[-1, :19] = 0.0
+        mat /= np.linalg.norm(mat, axis=0)
+        tracemalloc.start()
+        try:
+            value, witness, _ = omega(Frame(mat), mode="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (value, witness.bits) == (0.0, 1 << 19)
+        assert peak < 2 * subsets.CHUNK_BYTES
+
+    def test_one_rank_pass(self, monkeypatch):
+        """Columns 2, 10 and 11 lie in a plane, so the first deficient
+        4-subset is (0, 2, 10, 11), the 81st in combinations order: full
+        spark stops after the second chunk, and the hyperplane sets rank
+        each of the C(12, 4) = 495 n-subsets once, in one pass."""
+        mat = np.random.default_rng(412).standard_normal((4, 12))
+        mat[:, 11] = mat[:, 2] - 0.5 * mat[:, 10]
+        passes, ranked = [], []
+        deficient, full_rank = subsets._deficient, subsets.full_rank
+        monkeypatch.setattr(subsets, "_deficient", lambda a: passes.append(1) or deficient(a))
+        monkeypatch.setattr(subsets, "full_rank", lambda a, idx: ranked.append(len(idx)) or full_rank(a, idx))
+        ok, witness = full_spark(Frame(mat))
+        assert not ok and tuple(witness.indices()) == (0, 2, 10, 11)
+        assert (len(passes), ranked) == (1, [subsets.FIRST_CHUNK, 2 * subsets.FIRST_CHUNK])
+        passes.clear()
+        ranked.clear()
+        for _ in subsets.hyperplane_complements(mat):
+            pass
+        assert len(passes) == 1 and sum(ranked) == math.comb(12, 4)
+
+
 def _fixture(name):
     with resources.as_file(resources.files("phasestab.fixtures") / f"{name}.json") as path:
         return load_frame(str(path)).matrix

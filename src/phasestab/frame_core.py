@@ -122,7 +122,7 @@ def _philox(seed: int, tag: int) -> np.random.Generator:
     Philox(key=[seed, tag]); that list key turns into float64 from 2^63 up,
     which merges distinct seeds, and overflows outside [-2^63, 2^64)."""
     key = np.array([seed % 2**64, tag % 2**64], dtype=np.uint64)
-    return np.random.default_rng(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def sym_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -56,13 +56,9 @@ def _check_trials(trials: int) -> None:
         raise ValidationError("trials must be >= 1")
 
 
-def _stream(seed: int, tag: int, trial: int) -> np.random.Generator:
-    return _philox(seed, (tag << 32) | trial)
-
-
 def gaussian_frame(spec: EnsembleSpec, trial: int = 0) -> Frame:
     """i.i.d. N(0,1) frame, column-normalized or globally scaled by 1/sqrt(n)."""
-    rng = _stream(spec.seed, spec.n * 1_000_003 + spec.m, trial)
+    rng = _philox(spec.seed, ((spec.n * 1_000_003 + spec.m) << 32) | trial)
     mat = rng.standard_normal((spec.n, spec.m))
     if spec.scale == "unit_columns":
         norms = np.linalg.norm(mat, axis=0)
@@ -101,6 +97,25 @@ def witness_bound_51(frame: Frame) -> dict:
     }
 
 
+def _run_study(n_list: list[int], trials: int, spec_of, measure) -> tuple[list[ScalingRow], dict]:
+    """The loop the studies share: for each n, the spec spec_of(n); for each
+    trial, measure(gaussian_frame(spec, trial), spec, trial) gives the
+    (statistic, value, exact) triples of that draw.  Returns the rows in
+    n-major order and {statistic: {int(n): median}}; a repeated n repeats its
+    rows and keeps one median."""
+    rows, medians = [], {}
+    for n in n_list:
+        spec = spec_of(n)
+        values = {}
+        for trial in range(trials):
+            for stat, value, exact in measure(gaussian_frame(spec, trial), spec, trial):
+                rows.append(ScalingRow(n, spec.m, trial, stat, value, exact))
+                values.setdefault(stat, []).append(value)
+        for stat, vals in values.items():
+            medians.setdefault(stat, {})[int(n)] = float(np.median(vals))
+    return rows, medians
+
+
 def minimal_redundancy_study(
     n_list: list[int], trials: int, seed: int
 ) -> StudyResult:
@@ -114,48 +129,39 @@ def minimal_redundancy_study(
     C(2n-1, n-1) = C(2n-1, n) omega rows: n <= 13 runs.
     """
     _check_trials(trials)
-    result = StudyResult()
-    medians = {}
     redraws = 0
-    for n in n_list:
-        m = 2 * n - 1
-        values = []
-        for trial in range(trials):
-            spec = EnsembleSpec(n=n, m=m, scale="unit_columns", seed=seed)
-            frame = gaussian_frame(spec, trial)
-            attempt = 0
-            while not full_spark(frame)[0]:
-                redraws += 1
-                attempt += 1
-                frame = gaussian_frame(spec, trial + (attempt << 20))
-            omega_val, _ = subsets.omega_complements(frame.matrix, combinations(range(m), n - 1))
-            if n <= 6:
-                delta_val, _, _ = delta_op(frame, mode="exact")
-                if abs(delta_val - omega_val) > 1e-10 * max(1.0, omega_val):
-                    raise ValidationError(
-                        f"Delta != omega at minimal redundancy: {delta_val!r} vs {omega_val!r}"
-                    )
-            values.append(omega_val)
-            result.rows.append(
-                ScalingRow(n=n, m=m, trial=trial, statistic="omega", value=omega_val, exact=True)
-            )
-        medians[n] = float(np.median(values))
 
-    ns = np.array(sorted(medians))
-    med = np.array([medians[n] for n in ns])
-    summary = {"median_omega": {int(n): medians[n] for n in ns}, "redraws": redraws}
+    def measure(frame, spec, trial):
+        nonlocal redraws
+        n, attempt = spec.n, 0
+        while not full_spark(frame)[0]:
+            redraws += 1
+            attempt += 1
+            frame = gaussian_frame(spec, trial + (attempt << 20))
+        omega_val, _ = subsets.omega_complements(frame.matrix, combinations(range(spec.m), n - 1))
+        if n <= 6:
+            delta_val, _, _ = delta_op(frame, mode="exact")
+            if abs(delta_val - omega_val) > 1e-10 * max(1.0, omega_val):
+                raise ValidationError(
+                    f"Delta != omega at minimal redundancy: {delta_val!r} vs {omega_val!r}"
+                )
+        return [("omega", omega_val, True)]
+
+    rows, medians = _run_study(
+        n_list, trials, lambda n: EnsembleSpec(n, 2 * n - 1, "unit_columns", seed), measure
+    )
+    medians = dict(sorted(medians.get("omega", {}).items()))
+    ns, med = np.array(list(medians), dtype=float), np.array(list(medians.values()))
+    summary = {"median_omega": medians, "redraws": redraws}
     if len(ns) >= 2 and np.all(med > 0):
-        exp_fit = np.polyfit(ns.astype(float), np.log(med), 1)
-        poly_fit = np.polyfit(np.log(ns.astype(float)), np.log(med), 1)
+        exp_fit = np.polyfit(ns, np.log(med), 1)
+        poly_fit = np.polyfit(np.log(ns), np.log(med), 1)
         exp_resid = float(np.sum((np.polyval(exp_fit, ns) - np.log(med)) ** 2))
         poly_resid = float(np.sum((np.polyval(poly_fit, np.log(ns)) - np.log(med)) ** 2))
         summary["exponential_fit"] = {"slope": float(exp_fit[0]), "residual": exp_resid}
         summary["polynomial_fit"] = {"slope": float(poly_fit[0]), "residual": poly_resid}
-        summary["omega_n32_bounded_probe"] = {
-            int(n): medians[n] * float(n) ** 1.5 for n in ns
-        }
-    result.summary = summary
-    return result
+        summary["omega_n32_bounded_probe"] = {n: v * float(n) ** 1.5 for n, v in medians.items()}
+    return StudyResult(rows, summary)
 
 
 def tau_scaling_study(n_list: list[int], k: int, trials: int, seed: int) -> StudyResult:
@@ -164,28 +170,15 @@ def tau_scaling_study(n_list: list[int], k: int, trials: int, seed: int) -> Stud
     _check_trials(trials)
     if k < 0:
         raise ValidationError("k must be >= 0")
-    result = StudyResult()
-    medians = {}
-    for n in n_list:
-        m = n + k
-        values = []
-        for trial in range(trials):
-            spec = EnsembleSpec(n=n, m=m, scale="unit_columns", seed=seed)
-            frame = gaussian_frame(spec, trial)
-            tau_val = tau_op(frame)
-            values.append(tau_val)
-            result.rows.append(
-                ScalingRow(n=n, m=m, trial=trial, statistic="tau", value=tau_val, exact=True)
-            )
-        medians[n] = float(np.median(values))
-    result.summary = {
-        "median_tau": {int(n): v for n, v in medians.items()},
-        "normalized_median": {
-            int(n): v * float(n) ** (k - 0.5) for n, v in medians.items()
-        },
-        "k": k,
-    }
-    return result
+    rows, medians = _run_study(
+        n_list,
+        trials,
+        lambda n: EnsembleSpec(n, n + k, "unit_columns", seed),
+        lambda frame, spec, trial: [("tau", tau_op(frame), True)],
+    )
+    medians = medians.get("tau", {})
+    normalized = {n: v * float(n) ** (k - 0.5) for n, v in medians.items()}
+    return StudyResult(rows, {"median_tau": medians, "normalized_median": normalized, "k": k})
 
 
 def redundancy_stability_study(
@@ -202,44 +195,23 @@ def redundancy_stability_study(
     _check_trials(trials)
     if not r0 > 2:
         raise ValidationError(f"r0 must exceed 2, got {r0!r}")
-    result = StudyResult()
-    med_delta, med_omega = {}, {}
-    for n in n_list:
-        m = int(round(r0 * n))
-        deltas, omegas = [], []
-        for trial in range(trials):
-            spec = EnsembleSpec(n=n, m=m, scale="one_over_sqrt_n", seed=seed)
-            frame = gaussian_frame(spec, trial)
-            d = delta_op(
-                frame,
-                mode="exact" if 1 << (m - 1) <= subset_budget else "sampled",
-                budget=subset_budget,
-                seed=seed + trial,
-            )
-            try:
-                o = omega_op(
-                    frame,
-                    mode="exact" if comb(m, n - 1) <= subset_budget else "sampled",
-                    budget=subset_budget,
-                    seed=seed + trial,
-                )
-            except BudgetExceededError:
-                o = omega_op(frame, mode="sampled", budget=subset_budget, seed=seed + trial)
-            d_val, _, d_exact = _with_omega_partition(frame, d, o)
-            o_val, _, o_exact = o
-            deltas.append(d_val)
-            omegas.append(o_val)
-            result.rows.append(
-                ScalingRow(n=n, m=m, trial=trial, statistic="Delta", value=d_val, exact=d_exact)
-            )
-            result.rows.append(
-                ScalingRow(n=n, m=m, trial=trial, statistic="omega", value=o_val, exact=o_exact)
-            )
-        med_delta[n] = float(np.median(deltas))
-        med_omega[n] = float(np.median(omegas))
-    result.summary = {
-        "r0": r0,
-        "median_Delta": {int(n): v for n, v in med_delta.items()},
-        "median_omega": {int(n): v for n, v in med_omega.items()},
-    }
-    return result
+
+    def measure(frame, spec, trial):
+        n, m, kw = spec.n, spec.m, {"budget": subset_budget, "seed": seed + trial}
+        d = delta_op(frame, mode="exact" if 1 << (m - 1) <= subset_budget else "sampled", **kw)
+        try:
+            o = omega_op(frame, mode="exact" if comb(m, n - 1) <= subset_budget else "sampled", **kw)
+        except BudgetExceededError:
+            o = omega_op(frame, mode="sampled", **kw)
+        d_val, _, d_exact = _with_omega_partition(frame, d, o)
+        return [("Delta", d_val, d_exact), ("omega", o[0], o[2])]
+
+    rows, medians = _run_study(
+        n_list,
+        trials,
+        lambda n: EnsembleSpec(n, int(round(r0 * n)), "one_over_sqrt_n", seed),
+        measure,
+    )
+    return StudyResult(rows, {
+        "r0": r0, "median_Delta": medians.get("Delta", {}), "median_omega": medians.get("omega", {})
+    })

@@ -536,8 +536,10 @@ def q_eps_estimate(
     QEPS_REFINE_ROUNDS hill-climb steps around the winner.  Each line is
     exact; the supremum over directions is not, so Q_estimate is a lower
     bound, and every witness passes the feasibility recheck.  Delta, omega
-    and tau come from `analysis`.  Frames whose columns do not span R^n
-    raise NotAFrameError: there Q_eps(x) is infinite.
+    and tau come from `analysis`; the bracket is `_brackets`', and
+    Q_theory = 1/sqrt(A) is reported only where it is bounded and
+    eps < delta_x.  Frames whose columns do not span R^n raise
+    NotAFrameError: there Q_eps(x) is infinite.
     """
     cfg = cfg or QepsConfig()
     x = _check_vector(frame, x)
@@ -548,7 +550,6 @@ def q_eps_estimate(
         raise NotAFrameError("the columns do not span R^n: Q_eps(x) is unbounded")
 
     analysis = analysis or FrameAnalysis(frame, seed=cfg.seed)
-    delta_val, omega_val = analysis.delta[0], analysis.omega[0]
     a_lower, _ = frame_bounds(frame)
 
     rng = _philox(cfg.seed, 0x9E_95)
@@ -577,11 +578,10 @@ def q_eps_estimate(
     if gap > eps * (1 + 1e-12):
         best_y, best_d = x.copy(), 0.0
 
-    upper = 1.0 / delta_val if delta_val != 0.0 and omega_val != 0.0 else np.inf
-    lower = min(1.0 / eps, np.inf if omega_val == 0 else 1.0 / omega_val)
+    lower, upper = _brackets(eps, analysis)
     q_theory = None
     try:
-        if eps < delta_x(frame, x, analysis):
+        if np.isfinite(lower) and eps < delta_x(frame, x, analysis):
             q_theory = 1.0 / np.sqrt(a_lower)
     except (ValidationError, NotAFrameError, BudgetExceededError):
         pass
@@ -597,25 +597,36 @@ def q_eps_estimate(
     )
 
 
+def _brackets(eps: float, analysis: FrameAnalysis) -> tuple[float, float]:
+    """(lower, upper) = (min(1/eps, 1/omega), 1/Delta).  Delta = 0 or
+    omega = 0 is an unbounded measure, (inf, inf): Delta <= omega, so a
+    nonzero Delta with omega = 0 is the rounding residue of a rank-deficient
+    side.  A sampled Delta lies above Delta, so its 1/Delta is no upper
+    bracket: upper is inf unless Delta is exact.  A sampled omega lies above
+    omega, so lower stays a lower bound."""
+    delta_val, _, delta_exact = analysis.delta
+    omega_val = analysis.omega[0]
+    if delta_val == 0.0 or omega_val == 0.0:
+        return np.inf, np.inf
+    return min(1.0 / eps, 1.0 / omega_val), 1.0 / delta_val if delta_exact else np.inf
+
+
 def q_eps_brackets(frame: Frame, eps: float, analysis: FrameAnalysis | None = None) -> dict:
-    """Theory brackets for q_eps: lower min(1/eps, 1/omega), upper 1/Delta,
-    exact 1/omega when eps < tau.  Delta = 0 or omega = 0 reports an
-    unbounded measure: Delta <= omega, so a nonzero Delta with omega = 0 is
-    the rounding residue of a rank-deficient side.
-    A sampled Delta is no upper bracket: without exact Delta and omega this
-    raises BudgetExceededError."""
+    """Theory brackets for q_eps (`_brackets`): lower min(1/eps, 1/omega),
+    upper 1/Delta, exact 1/omega when eps < tau; Delta = 0 or omega = 0
+    reports an unbounded measure.  Without exact Delta and omega this raises
+    BudgetExceededError."""
     _check_eps(eps)
     analysis = analysis or FrameAnalysis(frame, sample_budget=None)
-    delta_val, _, delta_exact = analysis.delta
-    omega_val, _, omega_exact = analysis.omega
-    if not (delta_exact and omega_exact):
+    if not (analysis.delta[2] and analysis.omega[2]):
         raise BudgetExceededError("Q_eps brackets need exact Delta and omega")
-    bounded = delta_val != 0.0 and omega_val != 0.0
+    lower, upper = _brackets(eps, analysis)
+    bounded = bool(np.isfinite(lower))
     return {
-        "lower": min(1.0 / eps, 1.0 / omega_val) if bounded else np.inf,
-        "upper": 1.0 / delta_val if bounded else np.inf,
-        "exact": 1.0 / omega_val if bounded and eps < analysis.tau else None,
-        "q_inf": 1.0 / delta_val if bounded else np.inf,
+        "lower": lower,
+        "upper": upper,
+        "exact": 1.0 / analysis.omega[0] if bounded and eps < analysis.tau else None,
+        "q_inf": upper,
         "unbounded": not bounded,
         "exact_enumeration": True,
     }

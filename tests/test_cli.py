@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import phasestab
-from phasestab import A0Config, ValidationError, estimation, robustness
+from phasestab import A0Config, ValidationError, estimation, injectivity, robustness
 from phasestab import cli
 from phasestab.cli import main
 
@@ -81,6 +82,17 @@ class TestConstants:
         assert doc["omega"] ** 2 <= doc["A"] + 1e-9
         assert doc["A"] <= doc["B"] + 1e-9
 
+    def test_tau_over_budget_prints_nan(self, capsys, monkeypatch):
+        # pins a silent fallback: tau over FULL_SPARK_BUDGET is printed as the
+        # non-standard JSON literal NaN, with a false flag, and the run
+        # succeeds; omega falls back to its sampled upper bound
+        monkeypatch.setattr(injectivity, "FULL_SPARK_BUDGET", 1)
+        code, out = run_cli(["constants", "--fixture", "mb3"], capsys)
+        assert code == 0
+        assert '\n  "tau": NaN,\n' in out
+        flags = json.loads(out)["exact_flags"]
+        assert (flags["Delta"], flags["omega"], flags["tau"]) == (True, False, False)
+
     def test_degenerate_frame(self, capsys):
         code, out = run_cli(["constants", "--fixture", "basis2"], capsys)
         assert code == 0
@@ -129,6 +141,35 @@ class TestStability:
         )
         assert code == 0
         assert calls == {"delta": 1, "omega": 1, "tau": 1}
+
+    @pytest.mark.parametrize(
+        "name, x", [("basis2", "0.6,0.8"), ("basis3", "0.6,0.48,0.64"), ("repeated", "0.6,0.8")]
+    )
+    def test_not_retrievable_fixtures_unbounded(self, name, x, capsys):
+        # Delta = 0: the local theorem behind Q_theory = 1/sqrt(A) does not
+        # apply, and `bracket` repeats the unbounded `brackets`
+        code, out = run_cli(["stability", "--fixture", name, f"--x={x}", "--eps", "0.07"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["Q_theory"] is None and doc["brackets"]["unbounded"]
+        assert doc["bracket"] == [doc["brackets"]["lower"], doc["brackets"]["upper"]]
+
+    @pytest.mark.parametrize(
+        "name, x, sha256",
+        [
+            ("mb3", "0.6,0.8", "5fab386209eeb3f61212860f501ad4472a5ce900ebcc4d1320a4ec3d75a927f6"),
+            (
+                "gauss_4x11", "0.5,0.5,0.5,0.5",
+                "2368084f3bd7e0a074f46f6c3a8cabd4072bea328928f0e2b9f33a74edb23b0b",
+            ),
+        ],
+    )
+    def test_retrievable_fixtures_pinned(self, name, x, sha256, capsys):
+        # phase-retrievable frames: Q_theory and both bracket fields as before
+        # the two bracket rules became one
+        code, out = run_cli(["stability", "--fixture", name, f"--x={x}", "--eps", "0.07"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_exact_delta_over_budget_exit_3(self, capsys, tmp_path):
         # 2^20 partitions: exact Delta is over its 2^18 budget, so the brackets
@@ -359,6 +400,40 @@ class TestRandomStudy:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "n,m,trial,statistic,value,exact"
         assert len(lines) == 7
+
+    # stdout SHA-256 of each study, taken when each study still ran its own
+    # n x trial loop; the shared loop must reproduce them byte for byte
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            ("minimal --n-list 3,4,5,6 --trials 3",
+             "7d9291beb6fa52cc4f554a31e0f6d2c4455f2db497a7bb8692a3f0f9883b4bf7"),
+            ("tau --n-list 3,4,5 --k 2 --trials 4",
+             "3069af1199e37194f8207d3fb8380c5a5af644cf167021c57bdd0a23156a3d08"),
+            ("redundancy --n-list 2,3,4 --trials 3",
+             "183fb62bb08c634655f3871fd7b80e773e620d37af736afcd246538c275a1eab"),
+            ("redundancy --n-list 3,8 --trials 2 --subset-budget 128",
+             "c3ef1175fb801c63a3f48be9bae0b884b3e9b99a80e74942899eaee756e0fe84"),
+            ("minimal --n-list 3,3 --trials 2",
+             "1d93280abc08433acbc92525a826e12143af26e7c4acc582a53125324a4ac110"),
+        ],
+    )
+    def test_stdout_pinned(self, argv, sha256, capsys):
+        code, out = run_cli(["random-study", "--study", *argv.split(), "--seed", "9"], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+    def test_outdir_receives_both_files(self, capsys, tmp_path, monkeypatch):
+        # with PHASESTAB_OUTDIR set and no explicit paths, nothing goes to
+        # stdout and the default file names land in that directory
+        argv = ["random-study", "--study", "tau", "--n-list", "3", "--trials", "2"]
+        _, expected = run_cli(argv, capsys)
+        monkeypatch.setenv("PHASESTAB_OUTDIR", str(tmp_path))
+        code, out = run_cli(argv, capsys)
+        assert (code, out) == (0, "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["random_study.csv", "random_study.json"]
+        written = (tmp_path / "random_study.csv").read_text() + (tmp_path / "random_study.json").read_text()
+        assert written == expected
 
     def test_budget_exceeded_exit_3(self, capsys):
         code, _ = run_cli(

@@ -296,6 +296,19 @@ class TestPhaseRetrievable:
             cert = phase_retrievable(fr, cfg)
             assert cert.retrievable == oracles.complement_property_bruteforce(fr.matrix)
 
+    @pytest.mark.parametrize(
+        "frame, retrievable",
+        [(random_frame(3, 7, 1), True), (standard_basis_frame(3), False)],
+        ids=["gauss_3x7", "basis3"],
+    )
+    def test_complement_over_budget_leaves_a0_verdict(self, monkeypatch, frame, retrievable):
+        # pins a silent fallback: with C(m, n) over FULL_SPARK_BUDGET the
+        # complement check is skipped (m != 2n - 1, so no full spark check)
+        # and the a0 search alone decides, without a witness
+        monkeypatch.setattr(injectivity, "FULL_SPARK_BUDGET", 0)
+        cert = phase_retrievable(frame)
+        assert (cert.retrievable, cert.method, cert.witness) == (retrievable, "a0_positive", None)
+
     def test_json_dict_shape(self):
         doc = phase_retrievable(MB3).to_json_dict()
         assert set(doc) == {

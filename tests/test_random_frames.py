@@ -9,6 +9,9 @@ from phasestab import (
     EnsembleSpec,
     ValidationError,
     gaussian_frame,
+    injectivity,
+    omega,
+    random_frames,
     minimal_redundancy_study,
     redundancy_stability_study,
     tau_scaling_study,
@@ -131,6 +134,20 @@ class TestRedundancyStabilityStudy:
         res = redundancy_stability_study(3.0, [8], trials=2, subset_budget=128, seed=5)
         assert any(not row.exact for row in res.rows)
 
+    def test_exact_omega_over_budget_falls_back_to_sampled(self, monkeypatch):
+        # pins a silent fallback: C(9, 2) is under subset_budget, so exact
+        # omega is asked for, but C(9, 3) is over FULL_SPARK_BUDGET; the study
+        # takes the sampled omega with the same budget and seed instead
+        monkeypatch.setattr(injectivity, "FULL_SPARK_BUDGET", 1)
+        res = redundancy_stability_study(3.0, [3], trials=2, subset_budget=1 << 10, seed=5)
+        spec = EnsembleSpec(n=3, m=9, scale="one_over_sqrt_n", seed=5)
+        for row in res.rows:
+            if row.statistic == "Delta":
+                assert row.exact
+                continue
+            sampled = omega(gaussian_frame(spec, row.trial), mode="sampled", budget=1 << 10, seed=5 + row.trial)
+            assert (row.value, row.exact) == (sampled[0], False)
+
 
 @pytest.mark.parametrize(
     "study",
@@ -145,3 +162,62 @@ class TestRedundancyStabilityStudy:
 def test_studies_need_a_trial(study, trials):
     with pytest.raises(ValidationError, match="trials must be >= 1"):
         study(trials)
+
+
+STUDIES = {
+    "minimal": lambda n_list, trials: minimal_redundancy_study(n_list, trials, seed=2),
+    "tau": lambda n_list, trials: tau_scaling_study(n_list, k=2, trials=trials, seed=2),
+    "redundancy": lambda n_list, trials: redundancy_stability_study(
+        3.0, n_list, trials=trials, subset_budget=64, seed=2
+    ),
+}
+
+EMPTY_SUMMARIES = {
+    "minimal": {"median_omega": {}, "redraws": 0},
+    "tau": {"median_tau": {}, "normalized_median": {}, "k": 2},
+    "redundancy": {"r0": 3.0, "median_Delta": {}, "median_omega": {}},
+}
+
+
+class TestStudyLoop:
+    """The three studies share one n x trial loop."""
+
+    @pytest.mark.parametrize("name", list(STUDIES))
+    def test_one_draw_per_n_and_trial_in_n_major_order(self, name, monkeypatch):
+        draws = []
+        draw = random_frames.gaussian_frame
+        monkeypatch.setattr(
+            random_frames, "gaussian_frame",
+            lambda spec, trial=0: draws.append((spec.n, trial)) or draw(spec, trial),
+        )
+        STUDIES[name]([3, 2], 2)
+        assert draws == [(3, 0), (3, 1), (2, 0), (2, 1)]
+
+    def test_redraws_follow_their_trial(self, monkeypatch):
+        # the first draw is declared not full spark: it is redrawn at
+        # trial + 2^20 before the next trial is drawn
+        draws, verdicts = [], [False]
+        draw, spark = random_frames.gaussian_frame, random_frames.full_spark
+        monkeypatch.setattr(
+            random_frames, "gaussian_frame",
+            lambda spec, trial=0: draws.append((spec.n, trial)) or draw(spec, trial),
+        )
+        monkeypatch.setattr(
+            random_frames, "full_spark",
+            lambda frame: (verdicts.pop(), None) if verdicts else spark(frame),
+        )
+        res = minimal_redundancy_study([3, 2], trials=2, seed=2)
+        assert draws == [(3, 0), (3, 1 << 20), (3, 1), (2, 0), (2, 1)]
+        assert res.summary["redraws"] == 1
+        assert [(row.n, row.trial) for row in res.rows] == [(3, 0), (3, 1), (2, 0), (2, 1)]
+
+    @pytest.mark.parametrize("name", list(STUDIES))
+    def test_repeated_n_repeats_rows_and_keeps_one_median(self, name):
+        once, twice = STUDIES[name]([3], 2), STUDIES[name]([3, 3], 2)
+        assert twice.rows == once.rows + once.rows
+        assert twice.summary == once.summary
+
+    @pytest.mark.parametrize("name", list(STUDIES))
+    def test_empty_n_list(self, name):
+        res = STUDIES[name]([], 2)
+        assert res.rows == [] and res.summary == EMPTY_SUMMARIES[name]

@@ -38,7 +38,7 @@ from phasestab import (
     v_ratios_batch,
     worst_case_witness,
 )
-from phasestab import subsets
+from phasestab import injectivity, subsets
 from phasestab.robustness import _line_maxima
 
 MB3 = mercedes_benz_frame()
@@ -238,6 +238,25 @@ class TestQeps:
         assert rep.Q_theory == pytest.approx(1.0 / math.sqrt(A), rel=1e-12)
         assert rep.Q_estimate >= rep.Q_theory - 1e-3
         assert rep.Q_estimate <= rep.bracket[1] + 1e-9
+
+    def test_tau_over_budget_drops_q_theory(self, monkeypatch):
+        # pins a silent fallback: delta_x needs tau, and tau over
+        # FULL_SPARK_BUDGET leaves Q_theory None (omega falls back to sampled)
+        x = np.array([0.6, 0.8])
+        eps = 0.5 * delta_x(MB3, x)
+        monkeypatch.setattr(injectivity, "FULL_SPARK_BUDGET", 1)
+        rep = q_eps_estimate(MB3, x, eps)
+        assert rep.Q_theory is None
+        assert rep.bracket == pytest.approx((math.sqrt(2.0), math.sqrt(2.0)), rel=1e-12)
+
+    def test_sampled_delta_gives_no_upper_bracket(self):
+        # 2^19 partitions put Delta over its exact budget; a sampled Delta
+        # lies above Delta, so 1/Delta would sit below the true upper bracket
+        fr = gaussian_frame(EnsembleSpec(n=5, m=20, scale="one_over_sqrt_n", seed=1), 17)
+        analysis = FrameAnalysis(fr)
+        assert not analysis.delta[2] and analysis.omega[2]
+        rep = q_eps_estimate(fr, np.ones(5), 0.05, QepsConfig(restarts=4), analysis)
+        assert rep.bracket == (min(20.0, 1.0 / analysis.omega[0]), np.inf)
 
     def test_estimate_witness_is_feasible(self):
         x = np.array([0.6, 0.8])

@@ -26,7 +26,7 @@ FIXTURES = ("mb3", "basis2", "basis3", "repeated", "gauss_4x11")
 
 
 def _load_input(args) -> Frame:
-    if getattr(args, "fixture", None):
+    if args.fixture:
         ref = resources.files("phasestab.fixtures") / f"{args.fixture}.json"
         with resources.as_file(ref) as path:
             return load_frame(str(path))
@@ -57,47 +57,40 @@ def _parse_n_list(text: str) -> list[int]:
     return n_list
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w") as fh:
+def _write(name: str, doc, explicit: str | None):
+    """Write one output: a JSON document, or CSV lines.  The explicit path
+    wins, then $PHASESTAB_OUTDIR/name, then stdout."""
+    text = (to_json(doc) if isinstance(doc, dict) else "\n".join(doc)) + "\n"
+    outdir = os.environ.get("PHASESTAB_OUTDIR")
+    path = explicit or (outdir and os.path.join(outdir, name))
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
-def _out_path(args, default_name: str, explicit: str | None):
-    if explicit:
-        return explicit
-    outdir = os.environ.get("PHASESTAB_OUTDIR")
-    if outdir:
-        return os.path.join(outdir, default_name)
-    return None
+# Each command gets the loaded frame and the parsed --x (None where the
+# subcommand takes neither) and returns its outputs in print order, as
+# (default file name, JSON document or CSV lines) pairs.
 
 
-def cmd_certify(args) -> int:
-    frame = _load_input(args)
+def cmd_certify(args, frame, x):
     cert = phase_retrievable(frame, A0Config(seed=args.seed, restarts=args.restarts))
-    _emit(to_json(cert.to_json_dict()) + "\n", _out_path(args, "certificate.json", args.out))
-    return 0
+    return [("certificate.json", cert.to_json_dict())]
 
 
-def cmd_constants(args) -> int:
-    frame = _load_input(args)
+def cmd_constants(args, frame, x):
     constants = robustness.lipschitz_constants(
         frame,
         a0_cfg=A0Config(seed=args.seed, restarts=args.restarts),
         subset_budget=args.subset_budget,
         seed=args.seed,
     )
-    _emit(to_json(constants.to_json_dict()) + "\n", _out_path(args, "constants.json", args.out))
-    return 0
+    return [("constants.json", constants.to_json_dict())]
 
 
-def cmd_stability(args) -> int:
-    frame = _load_input(args)
-    x = _parse_vector(args.x, frame.dim)
+def cmd_stability(args, frame, x):
     # The brackets need exact Delta and omega, so there is no sampled
     # fallback: an over-budget frame fails before the Q_eps search runs.
     analysis = robustness.FrameAnalysis(frame, sample_budget=None)
@@ -105,15 +98,12 @@ def cmd_stability(args) -> int:
     report = robustness.q_eps_estimate(frame, x, args.eps, cfg, analysis)
     doc = report.to_json_dict()
     doc["brackets"] = robustness.q_eps_brackets(frame, args.eps, analysis)
-    _emit(to_json(doc) + "\n", _out_path(args, "stability.json", args.out))
-    return 0
+    return [("stability.json", doc)]
 
 
-def cmd_crlb(args) -> int:
-    frame = _load_input(args)
-    x = _parse_vector(args.x, frame.dim)
+def cmd_crlb(args, frame, x):
     bound = estimation.crlb(frame, x, args.sigma, A0Config(seed=args.seed))
-    doc = {
+    return [("crlb.json", {
         "x": x.tolist(),
         "sigma": args.sigma,
         "fisher": bound["fisher"].tolist(),
@@ -122,51 +112,35 @@ def cmd_crlb(args) -> int:
         "mse_upper": bound["mse_upper"],
         "a0": bound["a0"],
         "a0_exact": bound["a0_exact"],
-    }
-    _emit(to_json(doc) + "\n", _out_path(args, "crlb.json", args.out))
-    return 0
+    })]
 
 
-def cmd_simulate(args) -> int:
-    frame = _load_input(args)
-    x = _parse_vector(args.x, frame.dim)
+def cmd_simulate(args, frame, x):
     run = estimation.mse_monte_carlo(
-        frame,
-        x,
-        args.sigma,
-        args.trials,
-        args.seed,
+        frame, x, args.sigma, args.trials, args.seed,
         ls_cfg=estimation.LSConfig(restarts=args.restarts),
     )
     doc = run.to_json_dict()
     doc["sigma"] = args.sigma
-    _emit(to_json(doc) + "\n", _out_path(args, "simulate.json", args.out))
-    lines = ["trial,residual,d"]
-    lines += [csv_line(row) for row in run.per_trial]
-    _emit("\n".join(lines) + "\n", _out_path(args, "simulate.csv", args.csv_out))
-    return 0
+    lines = ["trial,residual,d", *(csv_line(row) for row in run.per_trial)]
+    return [("simulate.json", doc), ("simulate.csv", lines)]
 
 
-def cmd_random_study(args) -> int:
+def cmd_random_study(args, frame, x):
     n_list = _parse_n_list(args.n_list)
     if args.study == "minimal":
         result = random_frames.minimal_redundancy_study(n_list, args.trials, args.seed)
     elif args.study == "tau":
         result = random_frames.tau_scaling_study(n_list, args.k, args.trials, args.seed)
-    elif args.study == "redundancy":
+    else:
         result = random_frames.redundancy_stability_study(
             args.r0, n_list, args.trials, args.subset_budget, args.seed
         )
-    else:
-        raise ValidationError(f"unknown --study {args.study!r}")
-    lines = ["n,m,trial,statistic,value,exact"]
-    lines += [
+    lines = ["n,m,trial,statistic,value,exact", *(
         csv_line((r.n, r.m, r.trial, r.statistic, r.value, r.exact)) for r in result.rows
-    ]
-    _emit("\n".join(lines) + "\n", _out_path(args, "random_study.csv", args.csv_out))
+    )]
     doc = {"study": args.study, "seed": args.seed, "summary": result.summary}
-    _emit(to_json(doc) + "\n", _out_path(args, "random_study.json", args.out))
-    return 0
+    return [("random_study.csv", lines), ("random_study.json", doc)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,7 +224,11 @@ def main(argv=None) -> int:
             raise ValidationError(f"--subset-budget must be >= 1, got {args.subset_budget}")
         if not -(2**63) <= args.seed < 2**63:
             raise ValidationError(f"--seed must be in [-2^63, 2^63), got {args.seed}")
-        return args.func(args)
+        frame = _load_input(args) if "frame" in args else None
+        x = _parse_vector(args.x, frame.dim) if "x" in args else None
+        for name, doc in args.func(args, frame, x):
+            _write(name, doc, args.csv_out if name.endswith(".csv") else args.out)
+        return 0
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -118,10 +118,11 @@ class SubsetMask:
 
 def _philox(seed: int, tag: int) -> np.random.Generator:
     """The Philox stream keyed by the words (seed, tag), each taken modulo
-    2^64.  For int64 seeds and tags this is the stream of
+    2^64 as a Python int (a numpy integer cannot hold 2^64, so it is
+    converted first).  For int64 seeds and tags this is the stream of
     Philox(key=[seed, tag]); that list key turns into float64 from 2^63 up,
     which merges distinct seeds, and overflows outside [-2^63, 2^64)."""
-    key = np.array([seed % 2**64, tag % 2**64], dtype=np.uint64)
+    key = np.array([int(seed) % 2**64, int(tag) % 2**64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

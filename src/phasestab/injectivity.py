@@ -346,7 +346,8 @@ def phase_retrievable(frame: Frame, cfg: A0Config | None = None) -> Certificate:
     """Decide phase retrievability, cross-checking Theorem-equivalent criteria.
 
     Runs the exact complement-property enumeration (when feasible) alongside
-    the a0 search; for m = 2n-1 the full-spark criterion is cross-checked too.
+    the a0 search; where it ran and m = 2n-1, the full-spark criterion is
+    cross-checked too.
     Any disagreement raises VerdictConflictError instead of being resolved
     silently.
     """
@@ -370,16 +371,14 @@ def phase_retrievable(frame: Frame, cfg: A0Config | None = None) -> Certificate:
                 f"a0={a0_val!r} (normalized {a0_val / max(a0_scale(frame), 1e-300):.3e}) "
                 f"says {a0_verdict}; numerical threshold problem"
             )
-
-    if m == 2 * n - 1:
-        spark_verdict, spark_witness = full_spark(frame)
-        reference = complement_verdict if complement_verdict is not None else a0_verdict
-        if spark_verdict != reference:
-            raise VerdictConflictError(
-                f"full spark says {spark_verdict} but the other criteria say {reference}"
-            )
-        if witness is None and spark_witness is not None:
-            witness = spark_witness
+        # Full spark is enumerated under the complement check's C(m, n)
+        # cap, so it is cross-checked only where the complement check ran.
+        if m == 2 * n - 1:
+            spark_verdict, _ = full_spark(frame)
+            if spark_verdict != complement_verdict:
+                raise VerdictConflictError(
+                    f"full spark says {spark_verdict} but the other criteria say {complement_verdict}"
+                )
 
     if complement_verdict is not None:
         retrievable = complement_verdict

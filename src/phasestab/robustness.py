@@ -58,11 +58,23 @@ class StabilityConstants:
     omega: float
     tau: float
     lambdaF: float
-    sqrtA: float
-    sqrtB: float
-    mu0: float
+    A: float                                        # frame bounds, as computed
+    B: float
+    a0: float                                       # the a0 search's value
     exact: dict = field(default_factory=dict)       # per-constant exactness flags
     witnesses: dict = field(default_factory=dict)
+
+    @property
+    def sqrtA(self) -> float:
+        return float(np.sqrt(self.A))
+
+    @property
+    def sqrtB(self) -> float:
+        return float(np.sqrt(self.B))
+
+    @property
+    def mu0(self) -> float:
+        return float(np.sqrt(max(self.a0, 0.0)))
 
     def to_json_dict(self) -> dict:
         wit = {}
@@ -74,9 +86,9 @@ class StabilityConstants:
             else:
                 wit[key] = val
         return {
-            "A": self.sqrtA**2,
-            "B": self.sqrtB**2,
-            "a0": self.mu0**2,
+            "A": self.A,
+            "B": self.B,
+            "a0": self.a0,
             "Delta": self.Delta,
             "omega": self.omega,
             "tau": self.tau,
@@ -707,9 +719,9 @@ def lipschitz_constants(
         omega=omega_val,
         tau=tau_val,
         lambdaF=lam,
-        sqrtA=float(np.sqrt(a_lower)),
-        sqrtB=float(np.sqrt(b_upper)),
-        mu0=float(np.sqrt(max(a0_val, 0.0))),
+        A=a_lower,
+        B=b_upper,
+        a0=a0_val,
         exact={
             "Delta": delta_exact,
             "omega": omega_exact,

@@ -1,4 +1,4 @@
-import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,6 +14,11 @@ import phasestab
 from phasestab import A0Config, ValidationError, estimation, injectivity, robustness
 from phasestab import cli
 from phasestab.cli import main
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "cli_digest.py"
+spec = importlib.util.spec_from_file_location("cli_digest", TOOL)
+cli_digest = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(cli_digest)
 
 
 def subprocess_env() -> dict:
@@ -65,6 +70,15 @@ class TestCertify:
         code, _ = run_cli(["certify", str(bad)], capsys)
         assert code == 2
 
+    def test_complement_over_budget_at_2n_minus_1(self, capsys, monkeypatch):
+        # m = 2n - 1: full spark shares the complement check's C(m, n) cap,
+        # so it is skipped with it and the a0 search alone decides
+        monkeypatch.setattr(injectivity, "FULL_SPARK_BUDGET", 1)
+        code, out = run_cli(["certify", "--fixture", "mb3"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["method"], doc["retrievable"], doc["witness_bits"]) == ("a0_positive", True, None)
+
     def test_out_flag_writes_file(self, capsys, tmp_path):
         out_file = tmp_path / "cert.json"
         code, _ = run_cli(["certify", "--fixture", "mb3", "-o", str(out_file)], capsys)
@@ -92,6 +106,16 @@ class TestConstants:
         assert '\n  "tau": NaN,\n' in out
         flags = json.loads(out)["exact_flags"]
         assert (flags["Delta"], flags["omega"], flags["tau"]) == (True, False, False)
+
+    @pytest.mark.parametrize("name", cli.FIXTURES)
+    def test_prints_computed_bounds_and_a0(self, name, capsys):
+        # the values computed, not the squares of their rounded roots
+        _, out = run_cli(["constants", "--fixture", name], capsys)
+        _, cert = run_cli(["certify", "--fixture", name], capsys)
+        doc = json.loads(out)
+        frame = phasestab.load_frame(str(resources.files("phasestab.fixtures") / f"{name}.json"))
+        assert (doc["A"], doc["B"]) == phasestab.frame_bounds(frame)
+        assert doc["a0"] == json.loads(cert)["a0"]
 
     def test_degenerate_frame(self, capsys):
         code, out = run_cli(["constants", "--fixture", "basis2"], capsys)
@@ -154,23 +178,6 @@ class TestStability:
         assert doc["Q_theory"] is None and doc["brackets"]["unbounded"]
         assert doc["bracket"] == [doc["brackets"]["lower"], doc["brackets"]["upper"]]
 
-    @pytest.mark.parametrize(
-        "name, x, sha256",
-        [
-            ("mb3", "0.6,0.8", "5fab386209eeb3f61212860f501ad4472a5ce900ebcc4d1320a4ec3d75a927f6"),
-            (
-                "gauss_4x11", "0.5,0.5,0.5,0.5",
-                "2368084f3bd7e0a074f46f6c3a8cabd4072bea328928f0e2b9f33a74edb23b0b",
-            ),
-        ],
-    )
-    def test_retrievable_fixtures_pinned(self, name, x, sha256, capsys):
-        # phase-retrievable frames: Q_theory and both bracket fields as before
-        # the two bracket rules became one
-        code, out = run_cli(["stability", "--fixture", name, f"--x={x}", "--eps", "0.07"], capsys)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == sha256
-
     def test_exact_delta_over_budget_exit_3(self, capsys, tmp_path):
         # 2^20 partitions: exact Delta is over its 2^18 budget, so the brackets
         # cannot be exact and the call fails before any output
@@ -212,6 +219,22 @@ class TestNonFiniteInput:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["certify"], "provide a frame file or --fixture NAME"),
+            (["stability", "--fixture", "mb3", "--x=abc", "--eps", "0.1"],
+             "--x: not a comma-separated float list (could not convert string to float: 'abc')"),
+        ],
+        ids=["no-frame", "x-not-floats"],
+    )
+    def test_exit_2(self, argv, message, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
 
 class TestBadCounts:
@@ -401,28 +424,6 @@ class TestRandomStudy:
         assert lines[0] == "n,m,trial,statistic,value,exact"
         assert len(lines) == 7
 
-    # stdout SHA-256 of each study, taken when each study still ran its own
-    # n x trial loop; the shared loop must reproduce them byte for byte
-    @pytest.mark.parametrize(
-        "argv, sha256",
-        [
-            ("minimal --n-list 3,4,5,6 --trials 3",
-             "7d9291beb6fa52cc4f554a31e0f6d2c4455f2db497a7bb8692a3f0f9883b4bf7"),
-            ("tau --n-list 3,4,5 --k 2 --trials 4",
-             "3069af1199e37194f8207d3fb8380c5a5af644cf167021c57bdd0a23156a3d08"),
-            ("redundancy --n-list 2,3,4 --trials 3",
-             "183fb62bb08c634655f3871fd7b80e773e620d37af736afcd246538c275a1eab"),
-            ("redundancy --n-list 3,8 --trials 2 --subset-budget 128",
-             "c3ef1175fb801c63a3f48be9bae0b884b3e9b99a80e74942899eaee756e0fe84"),
-            ("minimal --n-list 3,3 --trials 2",
-             "1d93280abc08433acbc92525a826e12143af26e7c4acc582a53125324a4ac110"),
-        ],
-    )
-    def test_stdout_pinned(self, argv, sha256, capsys):
-        code, out = run_cli(["random-study", "--study", *argv.split(), "--seed", "9"], capsys)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == sha256
-
     def test_outdir_receives_both_files(self, capsys, tmp_path, monkeypatch):
         # with PHASESTAB_OUTDIR set and no explicit paths, nothing goes to
         # stdout and the default file names land in that directory
@@ -553,3 +554,59 @@ class TestReproducibility:
         doc = json.loads(out)
         # 17 significant digits: parsing and re-serializing is lossless
         assert doc["a0"] == float(repr(doc["a0"]))
+
+
+# Each recipe of tools/cli_digest.py with its digest: exit code and the
+# SHA-256 of stdout, stderr and each written file, as the tool prints them.
+# A change that moves an output byte updates its line here on purpose.
+PINNED = dict(line.split(": ", 1) for line in """\
+certify --fixture mb3: exit=0 stdout=156c565bede0ebfc89c60bdbc59d593061f43a7725f8166ae6840ef1cdefcb0a stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+constants --fixture mb3: exit=0 stdout=75b7049ead63b532260967c7e4fbe7903648eb922132ba37f545b061cc96c608 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+certify --fixture basis2: exit=0 stdout=f090b592267934cdee1f767afb8f157ce678d2138bd9824a582c058eb68df7bf stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+constants --fixture basis2: exit=0 stdout=9fd2fdf8a1cc7eb00a11020f29399d7e0fc4088832718a10cfb80c5f10bcca47 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+certify --fixture basis3: exit=0 stdout=f7047245e73a40453e45661cb33390dc5dc48f2679f4d4b599fca09ac36efa58 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+constants --fixture basis3: exit=0 stdout=06a1a65b2515f0b6f60b97bd4d53def8f0af6c62b28ff4c0cdf51503bd160367 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+certify --fixture repeated: exit=0 stdout=6955e69482e599d1d9325807dd2d624baecd4b323a22ff29386ae308f6940b6b stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+constants --fixture repeated: exit=0 stdout=00ddcf623d710037b2db53aa684e784690a7fcaa19eed8211d846bd3755655da stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+certify --fixture gauss_4x11: exit=0 stdout=a9b969bae19048a917fc71fa0d965e90587c01c44eb1059ded57c33c01a18e2a stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+constants --fixture gauss_4x11: exit=0 stdout=6fdc7ba1c92846032329a05fdf76d03ebd2ebb4ad34c0d71d49ca2df23542f22 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+crlb --fixture mb3 --x=0.6,0.8 --sigma 0.1: exit=0 stdout=8b62791e0f5106a6235663788b2cbe8fdcb33c77124d8e3c3bfed4b35c57e97f stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+crlb --fixture basis2 --x=0.6,0.8 --sigma 0.1: exit=0 stdout=b9b5ed67b1d4921c22a4698af1eb411b9695ceb34605da97f9f89befed05fa7f stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+crlb --fixture basis3 --x=0.6,0.48,0.64 --sigma 0.1: exit=0 stdout=de3849cb4335a1c83138fce6fd17613fb193b6bf7bb94e726a48ada9698f04db stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+crlb --fixture repeated --x=0.6,0.8 --sigma 0.1: exit=0 stdout=f103897e63a90d78e1c13e6e31aef77f6a2862a52a29810a29c6b60bcbefad13 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+crlb --fixture gauss_4x11 --x=0.5,0.5,0.5,0.5 --sigma 0.1: exit=0 stdout=ed559ef5a425f9f9515dd2afca490885999df31deb77bbfc31ad0d5ab57127fc stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+stability --fixture mb3 --x=0.6,0.8 --eps 0.07: exit=0 stdout=5fab386209eeb3f61212860f501ad4472a5ce900ebcc4d1320a4ec3d75a927f6 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+stability --fixture gauss_4x11 --x=0.5,0.5,0.5,0.5 --eps 0.07: exit=0 stdout=2368084f3bd7e0a074f46f6c3a8cabd4072bea328928f0e2b9f33a74edb23b0b stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+stability --fixture basis2 --x=0.6,0.8 --eps 0.07: exit=0 stdout=93a3b8d0386be35bdd080914a1e2b79e54fc661045bb9dd898d2802f209d3c31 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+certify --fixture mb3 --out {tmp}/cert.json: exit=0 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 cert.json=156c565bede0ebfc89c60bdbc59d593061f43a7725f8166ae6840ef1cdefcb0a
+simulate --fixture mb3 --x=0.6,0.8 --sigma 0.01 --trials 20: exit=0 stdout=9263e4bdce0ec4c2a1eba12f3d77c8f4fa41b639d9bec940b8fd51a6e1ca6954 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+simulate --fixture mb3 --x=0.6,0.8 --sigma 0.01 --trials 20 --out {tmp}/sim.json --csv-out {tmp}/sim.csv: exit=0 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 sim.csv=222b14fae078a87486d536306757ef3c0d1c9934c040bb18db42b173631a4afe sim.json=6eaafc81a2c30a18dcc958cd0b1f8cd2126ce30054f0b79ea95ca9efefc48b9a
+PHASESTAB_OUTDIR={tmp} simulate --fixture mb3 --x=0.6,0.8 --sigma 0.01 --trials 20: exit=0 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 simulate.csv=222b14fae078a87486d536306757ef3c0d1c9934c040bb18db42b173631a4afe simulate.json=6eaafc81a2c30a18dcc958cd0b1f8cd2126ce30054f0b79ea95ca9efefc48b9a
+PHASESTAB_OUTDIR={tmp} simulate --fixture mb3 --x=0.6,0.8 --sigma 0.01 --trials 20 --out {tmp}/explicit.json: exit=0 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 explicit.json=6eaafc81a2c30a18dcc958cd0b1f8cd2126ce30054f0b79ea95ca9efefc48b9a simulate.csv=222b14fae078a87486d536306757ef3c0d1c9934c040bb18db42b173631a4afe
+random-study --study minimal --n-list 3,4,5,6 --trials 3 --seed 9: exit=0 stdout=7d9291beb6fa52cc4f554a31e0f6d2c4455f2db497a7bb8692a3f0f9883b4bf7 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+random-study --study tau --n-list 3,4,5 --k 2 --trials 4 --seed 9: exit=0 stdout=3069af1199e37194f8207d3fb8380c5a5af644cf167021c57bdd0a23156a3d08 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+random-study --study redundancy --n-list 2,3,4 --trials 3 --seed 9: exit=0 stdout=183fb62bb08c634655f3871fd7b80e773e620d37af736afcd246538c275a1eab stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+random-study --study redundancy --n-list 3,8 --trials 2 --subset-budget 128 --seed 9: exit=0 stdout=c3ef1175fb801c63a3f48be9bae0b884b3e9b99a80e74942899eaee756e0fe84 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+random-study --study minimal --n-list 3,3 --trials 2 --seed 9: exit=0 stdout=1d93280abc08433acbc92525a826e12143af26e7c4acc582a53125324a4ac110 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+PHASESTAB_OUTDIR={tmp} random-study --study tau --n-list 3 --trials 2: exit=0 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 random_study.csv=59cdec96861d0927f47c1ae2ff80afd3d2f6c4e2cc9e0c37c3df0c302061ca95 random_study.json=1f244030bc1bfe7cff1dc02d5e2eabfda35c31c75dab83ab13a436c0aeafe1b2
+certify: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=f08dc00e0b8bc29f795b0003a08adee7e2bc72ace57717d675a9ef70727c8ada
+stability --fixture mb3 --x=abc --eps 0.1: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=3e9f6140b86236caf5df9c50688823a2534db7d6e24564b21d4f33d746d76a2b
+crlb --fixture mb3 --x=1,2,3 --sigma 0.1: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=70ab8c714d48feeec47bf187c4f5ff0cff3ab461171bb251eecaab043566750e
+certify --fixture mb3 --seed 9223372036854775808: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=2612cb77caca87595285e3223c6415c68967f646a74aa533eaa9e8f3ff557b1b
+constants --fixture mb3 --subset-budget 0: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=b967f0524b5eb1810f6deecec6a8993a32093a75d163548ad28bddf4cbc33ae2
+random-study --study minimal --n-list 3,x --trials 1: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=18b18203644c2d3f9a7e13002588da53aab6350b231d0f8c4a44348e72be44ea
+crlb --fixture mb3 --x=0.6,0.8 --sigma 0: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=766fc4a9e237238b5e7b44757d05fdba1f569476b5741147783862dc17ebf573
+simulate --fixture mb3 --x=0.6,0.8 --sigma -1 --trials 5: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=be2a5772d6a88a788a596c0d9048078373ddbaac14d68083de20a416f77e4ca5
+--help: exit=0 stdout=97ecdef93119a180a8902f84c3c237fc534bad7756ba6a505502c4c757de5542 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+certify --help: exit=0 stdout=b6e26f398836b243d6ec67f12c48bffad08169c5da053940d591549b41bcebf0 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+constants --help: exit=0 stdout=d67ac91d489c8bda7a3241666589d3d26b50b0e586a9da2257a0c1b5de59c951 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+stability --help: exit=0 stdout=46cbac918f534a610f10a0157970f0fda6f7ef2248c46b1e7c7f4e121daf9ccf stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+crlb --help: exit=0 stdout=f6e46a5bec629dbbcf82505c649aea2f51ae846f456e625bd7ac3c98d6286e5e stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+simulate --help: exit=0 stdout=16327398df649aad34a99ac5f08d19094cf034dfca2555da10d7c447c4cd38b2 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+random-study --help: exit=0 stdout=b3e0c42ee78c124b5e830822cc74604751f7f9190219f517d1311f729946e990 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+""".splitlines())
+
+
+@pytest.mark.parametrize("recipe", cli_digest.RECIPES)
+def test_output_pinned(recipe):
+    assert cli_digest.digest(recipe) == PINNED[recipe]

@@ -221,3 +221,10 @@ class TestStudyLoop:
     def test_empty_n_list(self, name):
         res = STUDIES[name]([], 2)
         assert res.rows == [] and res.summary == EMPTY_SUMMARIES[name]
+
+    @pytest.mark.parametrize("name", list(STUDIES))
+    def test_numpy_integer_n_list(self, name):
+        # n reaches the stream key as a numpy integer, which cannot hold 2^64
+        plain = STUDIES[name]([3, 4], 2)
+        numpy = STUDIES[name](list(np.array([3, 4])), 2)
+        assert numpy.rows == plain.rows and numpy.summary == plain.summary

@@ -31,6 +31,9 @@ A0_REL_TOL = 1e-12
 
 FULL_SPARK_BUDGET = 10_000_000    # cap on C(m, n): full spark, complement property, exact omega
 A0_TOL = 1e-10                    # a0 descent stops below this gradient norm or gain
+A0_MERGE_TOL = 1e-6               # a0 starts share one polish where 1 - |<x_i, x_j>| and
+                                  # 1 - |<u_i, u_j>| are both below this; relative, since
+                                  # x and u are unit vectors (1e-6: about 1.4e-3 rad)
 SPEC_ROWS = 64                    # rows per speculative Armijo call: one call's fixed
                                   # cost is about that of solving this many rows
 
@@ -44,8 +47,12 @@ class A0Config:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 0:
-            raise ValidationError(f"restarts must be >= 0, got {self.restarts}")
+        for name in ("restarts", "max_iters"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValidationError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass
@@ -241,11 +248,34 @@ def _a0_2d(frame: Frame) -> tuple[float, np.ndarray, np.ndarray]:
     return float(val[0]), x_star, u_star[0].copy()
 
 
-def _a0_lockstep(mat: np.ndarray, xs: np.ndarray, max_iters: int):
+def _merge_basins(xs: np.ndarray, us: np.ndarray, live: np.ndarray, kept: list) -> None:
+    """Retire from the polish each live start whose (x, u) lies within
+    A0_MERGE_TOL of a kept point, up to the sign of each, in start order:
+    a live start that no kept point claims is kept itself (appended to
+    kept) and stays live.  Each start meets only the kept points, so the
+    work is O(starts x kept)."""
+    rows = np.flatnonzero(live)
+    k = 0
+    while rows.size:
+        if k == len(kept):
+            kept.append((xs[rows[0]].copy(), us[rows[0]].copy()))
+            rows = rows[1:]
+        x, u = kept[k]
+        near = ((1.0 - np.abs(np.vecdot(xs[rows], x)) < A0_MERGE_TOL)
+                & (1.0 - np.abs(np.vecdot(us[rows], u)) < A0_MERGE_TOL))
+        live[rows[near]] = False
+        rows = rows[~near]
+        k += 1
+
+
+def _a0_lockstep(mat: np.ndarray, xs: np.ndarray, max_iters: int, kept: list):
     """(values, x, u) of a0's descent from each unit row of xs, in lockstep:
     alternating eigen minimization, then a projected gradient polish on the
-    sphere.  A start that reaches 0.0 retires the later ones, whose rows
-    are left unfinished."""
+    sphere of the starts that `_merge_basins` keeps; kept carries the
+    polished starts' post-alternation (x, u) across calls.  A merged start
+    keeps its alternation value, lambda_min(R(x)) at its own x.  A start
+    that reaches 0.0 retires the later ones, whose rows are left
+    unfinished."""
     vals, us = _lambda_min_r(mat, xs)
     live = np.ones(len(xs), dtype=bool)
     _retire_after_zero(vals, live)
@@ -264,6 +294,7 @@ def _a0_lockstep(mat: np.ndarray, xs: np.ndarray, max_iters: int):
         acc = rows[~stop]
         xs[acc], us[acc], vals[acc] = x_new[~stop], u_new[~stop], new_vals[~stop]
         _retire_after_zero(vals, live)
+    _merge_basins(xs, us, live, kept)
 
     # Projected gradient polish on the sphere; u is the eigenvector at x.
     ones = np.ones(mat.shape[1])
@@ -290,12 +321,17 @@ def a0(frame: Frame, cfg: A0Config | None = None) -> tuple[float, np.ndarray, np
     columns (one is a zero of lambda_min(R(x)) whenever the complement
     property fails and the columns span R^n), the bottom eigenvector of the
     Gram matrix and cfg.restarts seeded random vectors.  Each runs
-    alternating eigen minimization, then a projected gradient polish on the
-    sphere, all in lockstep (`_a0_lockstep`, `_sphere_descent`) and
-    bit-identical to running the starts one at a time, stopping at the
-    first that reaches 0.  The starts run in order in chunks whose stacked
-    (n, m) arrays take about subsets.CHUNK_BYTES each, and a start at 0
-    skips the later chunks.
+    alternating eigen minimization.  A start whose x and u then both lie
+    within A0_MERGE_TOL of an earlier polished start's, up to sign, has
+    reached that start's point: it is not polished and keeps its own
+    alternation value, lambda_min(R(x)) at its own x.  The others take a
+    projected gradient polish on the sphere.  All of it runs in
+    lockstep (`_a0_lockstep`, `_merge_basins`, `_sphere_descent`) and is
+    bit-identical to running the starts one at a time under the same merge
+    rule, stopping at the first that reaches 0.  The starts run in order in
+    chunks whose stacked (n, m) arrays take about subsets.CHUNK_BYTES each;
+    the kept points carry across chunks, and a start at 0 skips the later
+    chunks.
     """
     cfg = cfg or A0Config()
     if frame.dim == 1:
@@ -318,10 +354,10 @@ def a0(frame: Frame, cfg: A0Config | None = None) -> tuple[float, np.ndarray, np
     # The winner as the one-start loop picks it: the first least value, up
     # to the first 0.0 (the starts after it are unfinished or never run).
     # Chunks of starts run in order, so a start at 0.0 skips later chunks.
-    best = None
+    best, kept = None, []
     rows = max(1, subsets.CHUNK_BYTES // (8 * frame.dim * frame.count))
     for lo in range(0, len(xs), rows):
-        for val, x, u in zip(*_a0_lockstep(mat, xs[lo:lo + rows], cfg.max_iters)):
+        for val, x, u in zip(*_a0_lockstep(mat, xs[lo:lo + rows], cfg.max_iters, kept)):
             if best is None or val < best[0]:
                 best = (float(val), x.copy(), u.copy())
             if best[0] == 0.0:

@@ -568,13 +568,13 @@ certify --fixture basis3: exit=0 stdout=f7047245e73a40453e45661cb33390dc5dc48f26
 constants --fixture basis3: exit=0 stdout=06a1a65b2515f0b6f60b97bd4d53def8f0af6c62b28ff4c0cdf51503bd160367 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 certify --fixture repeated: exit=0 stdout=6955e69482e599d1d9325807dd2d624baecd4b323a22ff29386ae308f6940b6b stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 constants --fixture repeated: exit=0 stdout=00ddcf623d710037b2db53aa684e784690a7fcaa19eed8211d846bd3755655da stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
-certify --fixture gauss_4x11: exit=0 stdout=a9b969bae19048a917fc71fa0d965e90587c01c44eb1059ded57c33c01a18e2a stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
-constants --fixture gauss_4x11: exit=0 stdout=6fdc7ba1c92846032329a05fdf76d03ebd2ebb4ad34c0d71d49ca2df23542f22 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+certify --fixture gauss_4x11: exit=0 stdout=5b4590aed1e0e82542d4d0f15f978d94e247121fd3cd0083c7099c5cc337a567 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+constants --fixture gauss_4x11: exit=0 stdout=0d54840e1aba0b44f43656b825b883d734c2a04f0a32d5d738ec7fe092991062 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 crlb --fixture mb3 --x=0.6,0.8 --sigma 0.1: exit=0 stdout=8b62791e0f5106a6235663788b2cbe8fdcb33c77124d8e3c3bfed4b35c57e97f stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 crlb --fixture basis2 --x=0.6,0.8 --sigma 0.1: exit=0 stdout=b9b5ed67b1d4921c22a4698af1eb411b9695ceb34605da97f9f89befed05fa7f stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 crlb --fixture basis3 --x=0.6,0.48,0.64 --sigma 0.1: exit=0 stdout=de3849cb4335a1c83138fce6fd17613fb193b6bf7bb94e726a48ada9698f04db stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 crlb --fixture repeated --x=0.6,0.8 --sigma 0.1: exit=0 stdout=f103897e63a90d78e1c13e6e31aef77f6a2862a52a29810a29c6b60bcbefad13 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
-crlb --fixture gauss_4x11 --x=0.5,0.5,0.5,0.5 --sigma 0.1: exit=0 stdout=ed559ef5a425f9f9515dd2afca490885999df31deb77bbfc31ad0d5ab57127fc stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+crlb --fixture gauss_4x11 --x=0.5,0.5,0.5,0.5 --sigma 0.1: exit=0 stdout=47ab0d75ae75baef5dc2ceb4a0d5846ca2ddc28d5d64a51bf314e59a9b543654 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 stability --fixture mb3 --x=0.6,0.8 --eps 0.07: exit=0 stdout=5fab386209eeb3f61212860f501ad4472a5ce900ebcc4d1320a4ec3d75a927f6 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 stability --fixture gauss_4x11 --x=0.5,0.5,0.5,0.5 --eps 0.07: exit=0 stdout=2368084f3bd7e0a074f46f6c3a8cabd4072bea328928f0e2b9f33a74edb23b0b stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 stability --fixture basis2 --x=0.6,0.8 --eps 0.07: exit=0 stdout=93a3b8d0386be35bdd080914a1e2b79e54fc661045bb9dd898d2802f209d3c31 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855

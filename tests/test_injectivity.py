@@ -9,6 +9,7 @@ import oracles
 from phasestab import (
     A0Config,
     Frame,
+    ValidationError,
     VerdictConflictError,
     a0,
     a0_scale,
@@ -169,6 +170,23 @@ class TestA0:
     def test_scale_normalizer(self):
         fr = MB3
         assert a0_scale(fr) == pytest.approx(1.0, abs=1e-12)  # unit columns
+
+    @pytest.mark.parametrize("field, value, message", [
+        # a negative max_iters used to skip the polish silently, and a float
+        # restarts to fail later inside numpy
+        ("max_iters", -5, "max_iters must be >= 0, got -5"),
+        ("restarts", 2.5, "restarts must be an integer, got 2.5"),
+        ("max_iters", 60.0, "max_iters must be an integer, got 60.0"),
+    ])
+    def test_config_rejects_bad_counts(self, field, value, message):
+        with pytest.raises(ValidationError, match=message):
+            A0Config(**{field: value})
+
+    def test_config_takes_numpy_integers(self):
+        fr = random_frame(3, 6, 5)
+        got = a0(fr, A0Config(restarts=np.int64(8), max_iters=np.int32(60)))
+        want = a0(fr, A0Config(restarts=8, max_iters=60))
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
 
 def two_dim_frame(kind, m, seed):

@@ -1,6 +1,7 @@
 """The lockstep multi-start searches of a0 and Lambda_F against the
-one-start-at-a-time loops they replaced, which are kept here as references:
-values and argmins must be bit-identical."""
+one-start-at-a-time loops they replaced, which are kept here as references
+(a0's under the same merge rule for starts that reach one point): values
+and argmins must be bit-identical."""
 
 from importlib import resources
 
@@ -13,7 +14,7 @@ from phasestab import (
     A0Config, Frame, a0, gram, injectivity, lambdaF, load_frame, r_matrix, subsets, sym_eig,
 )
 from phasestab.cli import FIXTURES
-from phasestab.injectivity import A0_TOL, SPEC_ROWS
+from phasestab.injectivity import A0_MERGE_TOL, A0_TOL, SPEC_ROWS
 from phasestab.robustness import LAMBDA_MAX_ITERS, LAMBDA_RESTARTS, LAMBDA_TOL
 
 CONFIGS = [A0Config(), A0Config(restarts=8, max_iters=60), A0Config(seed=7)]
@@ -57,7 +58,10 @@ def _lambda_min_r_loop(frame, x):
     return float(max(evals[-1], 0.0)), evecs[:, -1]
 
 
-def _a0_descent_loop(frame, x0, cfg):
+def _a0_descent_loop(frame, x0, cfg, kept):
+    """One start's alternation, then its polish unless its (x, u) lies
+    within A0_MERGE_TOL of a point in kept, up to sign; a polished start
+    appends its post-alternation (x, u) to kept."""
     x = x0 / np.linalg.norm(x0)
     mat = frame.matrix
     val, u = _lambda_min_r_loop(frame, x)
@@ -69,6 +73,10 @@ def _a0_descent_loop(frame, x0, cfg):
         if new_val > val - A0_TOL:
             break
         x, u, val = x_new, u_new, new_val
+    for kept_x, kept_u in kept:
+        if 1.0 - abs(np.dot(x, kept_x)) < A0_MERGE_TOL and 1.0 - abs(np.dot(u, kept_u)) < A0_MERGE_TOL:
+            return val, x, u
+    kept.append((x, u))
     ones = np.ones(frame.count)
     return _sphere_descent_loop(
         lambda y: _lambda_min_r_loop(frame, y),
@@ -87,11 +95,11 @@ def _a0_loop(frame, cfg):
     starts.append(evecs[:, -1])
     for _ in range(cfg.restarts):
         starts.append(rng.standard_normal(frame.dim))
-    best, ran = None, []
+    best, ran, kept = None, [], []
     for x0 in starts:
         if np.linalg.norm(x0) == 0:
             continue
-        val, x, u = _a0_descent_loop(frame, x0, cfg)
+        val, x, u = _a0_descent_loop(frame, x0, cfg, kept)
         ran.append(val)
         if best is None or val < best[0]:
             best = (val, x, u)
@@ -281,10 +289,60 @@ class TestChunkedStarts:
         chunks = []
         lockstep = injectivity._a0_lockstep
 
-        def spy(mat, xs, max_iters):
+        def spy(mat, xs, max_iters, kept):
             chunks.append(len(xs))
-            return lockstep(mat, xs, max_iters)
+            return lockstep(mat, xs, max_iters, kept)
 
         monkeypatch.setattr(injectivity, "_a0_lockstep", spy)
         _assert_bits(a0(frame, CONFIGS[1]), _a0_loop(frame, CONFIGS[1])[0])
         assert chunks == [1, 1]
+
+
+def _polished_starts(monkeypatch):
+    """Spy on a0's polish: the list it returns gets the number of live
+    starts at the start of each `_sphere_descent` call."""
+    counts = []
+    descent = injectivity._sphere_descent
+
+    def spy(f, grad, xs, vals, extras, live, *args, **kwargs):
+        counts.append(int(live.sum()))
+        return descent(f, grad, xs, vals, extras, live, *args, **kwargs)
+
+    monkeypatch.setattr(injectivity, "_sphere_descent", spy)
+    return counts
+
+
+class TestMergedBasins:
+    """Starts that the alternation brings to one (x, u), up to sign, share
+    one polish; the others keep their alternation value."""
+
+    def test_polish_runs_one_start_per_basin(self, monkeypatch):
+        # 234 starts on gauss_4x11, which the alternation brings to 6 points
+        counts = _polished_starts(monkeypatch)
+        a0(_fixture("gauss_4x11"), A0Config())
+        assert len(counts) == 1 and 0 < counts[0] <= 6
+
+    def test_merge_crosses_chunks(self, monkeypatch):
+        frame = _fixture("gauss_4x11")
+        counts = _polished_starts(monkeypatch)
+        want = a0(frame, CONFIGS[1])
+        polished = counts.pop()
+        monkeypatch.setattr(subsets, "CHUNK_BYTES", 8 * frame.dim * frame.count)
+        _assert_bits(a0(frame, CONFIGS[1]), want)
+        # one start per chunk: the chunks whose start reaches an earlier
+        # chunk's point polish nothing, and the same starts are polished
+        assert len(counts) > sum(counts) == polished
+
+    def test_repeated_start_in_a_later_chunk_keeps_its_value(self):
+        frame = _fixture("gauss_4x11")
+        x0 = np.random.default_rng(3).standard_normal((1, frame.dim))
+        x0 /= np.linalg.norm(x0)
+        kept = []
+        first = injectivity._a0_lockstep(frame.matrix, x0.copy(), 60, kept)
+        again = injectivity._a0_lockstep(frame.matrix, x0.copy(), 60, kept)
+        assert len(kept) == 1
+        # the repeat stops at the kept post-alternation point, with
+        # lambda_min(R(x)) there, which the first run's polish lowered
+        np.testing.assert_array_equal(again[1][0], kept[0][0])
+        np.testing.assert_array_equal(again[2][0], kept[0][1])
+        assert again[0][0] == _lambda_min_r_loop(frame, kept[0][0])[0] >= first[0][0]

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularFisherError, ValidationError
-from .frame_core import Frame, _check_vector, _philox, analysis_map_sq, sym_eig
+from .frame_core import Frame, _check_count, _check_vector, _philox, analysis_map_sq, sym_eig
 from .injectivity import A0Config, a0 as a0_search, r_matrix
 from .subsets import CHUNK_BYTES
 
@@ -110,8 +110,7 @@ def fisher_empirical(
     model; converges to fisher_info at the usual 1/sqrt(trials) rate."""
     NoiseModel(sigma)  # the one check of sigma
     x = _check_vector(frame, x)
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    _check_count("trials", trials, 1)
     coeffs = frame.matrix.T @ x                       # <x, f_k>
     rng = _philox(seed, 0)
     nu = sigma * rng.standard_normal((trials, frame.count))
@@ -171,8 +170,7 @@ class LSConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValidationError(f"restarts must be >= 1, got {self.restarts}")
+        _check_count("restarts", self.restarts, 1)
 
 
 class LSResult(NamedTuple):
@@ -408,8 +406,10 @@ def _spectral_init(frame: Frame, y: np.ndarray) -> np.ndarray:
 
 
 def _row_seed(seed: int, row: int) -> int:
-    """Seed of row `row`'s random starts: `seed` itself for row 0."""
-    return seed ^ (row * 0x9E3779B97F4A7C15 & 0x7FFFFFFFFFFFFFFF)
+    """Seed of row `row`'s random starts: `seed` itself for row 0.  The seed
+    meets arithmetic here before `_philox`, so it is checked here too, and
+    taken as a Python int (a narrow numpy integer would overflow)."""
+    return int(_check_count("seed", seed, None)) ^ (row * 0x9E3779B97F4A7C15 & 0x7FFFFFFFFFFFFFFF)
 
 
 def ls_estimate(frame: Frame, y: np.ndarray, cfg: LSConfig | None = None) -> np.ndarray:
@@ -477,8 +477,7 @@ def mse_monte_carlo(
     sign-invariant distance d(x_hat, x)^2.
     """
     x = _check_vector(frame, x)
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    _check_count("trials", trials, 1)
     noise = NoiseModel(sigma)
     ls_cfg = ls_cfg or LSConfig(restarts=4)
     crlb_trace = float(np.trace(_crlb_matrix(frame, x, sigma)[1]))

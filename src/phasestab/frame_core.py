@@ -116,12 +116,25 @@ class SubsetMask:
         return bool(self.bits >> i & 1)
 
 
+def _check_count(name: str, value, least: int | None = 0):
+    """value, when it is a Python or numpy integer (not a bool) of at least
+    `least` (any integer when least is None); ValidationError otherwise.
+    The one rule for counts, budgets and seeds."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def _philox(seed: int, tag: int) -> np.random.Generator:
     """The Philox stream keyed by the words (seed, tag), each taken modulo
     2^64 as a Python int (a numpy integer cannot hold 2^64, so it is
     converted first).  For int64 seeds and tags this is the stream of
     Philox(key=[seed, tag]); that list key turns into float64 from 2^63 up,
-    which merges distinct seeds, and overflows outside [-2^63, 2^64)."""
+    which merges distinct seeds, and overflows outside [-2^63, 2^64).  The
+    seed must be an integer: every seed of the package passes here."""
+    _check_count("seed", seed, None)
     key = np.array([int(seed) % 2**64, int(tag) % 2**64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -132,34 +145,32 @@ def sym_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns eigenvalues sorted non-increasing and the matching orthonormal
     eigenvectors as columns: (n,) and (n, n), or (k, n) and (k, n, n) for a
     stack.  Rejects non-symmetric input, each matrix of a stack against its
-    own scale; wraps LAPACK non-convergence in ConvergenceError.  A stack
-    goes through one batched `eigh` (LAPACK runs on each matrix in turn);
-    rows with strictly ascending eigenvalues are reversed, and only rows
-    with ties or NaN are argsorted, each alone, so slice i equals
-    sym_eig(mat[i]) bit for bit; the a0 search makes one such call per
-    lockstep step.
+    own scale; wraps LAPACK non-convergence in ConvergenceError.  A matrix
+    goes through as a stack of one.  A stack goes through one batched
+    `eigh` (LAPACK runs on each matrix in turn); rows with strictly
+    ascending eigenvalues are reversed, and only rows with ties or NaN are
+    argsorted, each alone, so slice i equals sym_eig(mat[i]) bit for bit;
+    the a0 search makes one such call per lockstep step.
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim not in (2, 3) or mat.shape[-2] != mat.shape[-1]:
         raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
-    scale = np.max(np.abs(mat), axis=(-2, -1))
+    stack = mat[None] if mat.ndim == 2 else mat
+    scale = np.max(np.abs(stack), axis=(-2, -1))
     scale = np.where(scale == 0.0, 1.0, scale)
-    asym = np.max(np.abs(mat - np.swapaxes(mat, -2, -1)), axis=(-2, -1))
+    asym = np.max(np.abs(stack - np.swapaxes(stack, -2, -1)), axis=(-2, -1))
     bad = np.flatnonzero(asym > 1e-12 * scale)
     if bad.size:
         i = bad[0]
         which = "matrix" if mat.ndim == 2 else f"matrix {i} of the stack"
         raise ValidationError(
-            f"{which} is not symmetric: max |M - M^T| = {asym.flat[i]:.3e} "
-            f"vs scale {scale.flat[i]:.3e}"
+            f"{which} is not symmetric: max |M - M^T| = {asym[i]:.3e} "
+            f"vs scale {scale[i]:.3e}"
         )
     try:
-        evals, evecs = np.linalg.eigh(mat)
+        evals, evecs = np.linalg.eigh(stack)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver did not converge: {exc}") from exc
-    if mat.ndim == 2:
-        order = np.argsort(evals)[::-1]
-        return evals[order], evecs[:, order]
     # eigh's strictly ascending rows reverse to what argsort gives; only
     # rows with ties or NaN need it
     sort = np.flatnonzero(~np.all(evals[:, 1:] > evals[:, :-1], axis=1))
@@ -169,6 +180,10 @@ def sym_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         out_vals, out_vecs = out_vals.copy(), out_vecs.copy()
         out_vals[sort] = np.take_along_axis(evals[sort], order, -1)
         out_vecs[sort] = np.take_along_axis(evecs[sort], order[:, None, :], -1)
+    if mat.ndim == 2:
+        # laid out as `eigh` lays out a matrix's: contiguous values and
+        # columns, so callers' sums and products round as they always have
+        return np.ascontiguousarray(out_vals[0]), np.asfortranarray(out_vecs[0])
     return out_vals, out_vecs
 
 

@@ -12,10 +12,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import subsets
-from .errors import BudgetExceededError, ValidationError, VerdictConflictError
+from .errors import BudgetExceededError, VerdictConflictError
 from .frame_core import (
     Frame,
     SubsetMask,
+    _check_count,
     _check_vector,
     _philox,
     gram,
@@ -47,12 +48,8 @@ class A0Config:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("restarts", "max_iters"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            if value < 0:
-                raise ValidationError(f"{name} must be >= 0, got {value}")
+        _check_count("restarts", self.restarts)
+        _check_count("max_iters", self.max_iters)
 
 
 @dataclass

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import subsets
 from .errors import BudgetExceededError, ValidationError
-from .frame_core import Frame, _philox, null_vector
+from .frame_core import Frame, _check_count, _philox, null_vector
 from .robustness import _with_omega_partition, delta as delta_op, omega as omega_op, tau as tau_op
 from .injectivity import full_spark
 
@@ -48,12 +48,6 @@ class ScalingRow:
 class StudyResult:
     rows: list[ScalingRow] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-
-
-def _check_trials(trials: int) -> None:
-    # checked up front: with no trials the studies would report NaN medians
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
 
 
 def gaussian_frame(spec: EnsembleSpec, trial: int = 0) -> Frame:
@@ -102,7 +96,9 @@ def _run_study(n_list: list[int], trials: int, spec_of, measure) -> tuple[list[S
     trial, measure(gaussian_frame(spec, trial), spec, trial) gives the
     (statistic, value, exact) triples of that draw.  Returns the rows in
     n-major order and {statistic: {int(n): median}}; a repeated n repeats its
-    rows and keeps one median."""
+    rows and keeps one median.  trials is checked before any draw: with no
+    trials the medians would be NaN."""
+    _check_count("trials", trials, 1)
     rows, medians = [], {}
     for n in n_list:
         spec = spec_of(n)
@@ -128,7 +124,6 @@ def minimal_redundancy_study(
     FULL_SPARK_BUDGET on C(2n-1, n) caps the full spark pass and so the
     C(2n-1, n-1) = C(2n-1, n) omega rows: n <= 13 runs.
     """
-    _check_trials(trials)
     redraws = 0
 
     def measure(frame, spec, trial):
@@ -141,7 +136,9 @@ def minimal_redundancy_study(
         omega_val, _ = subsets.omega_complements(frame.matrix, combinations(range(spec.m), n - 1))
         if n <= 6:
             delta_val, _, _ = delta_op(frame, mode="exact")
-            if abs(delta_val - omega_val) > 1e-10 * max(1.0, omega_val):
+            # both come from Grams of F's columns: compare squared, within
+            # the Gram route's rounding allowance
+            if abs(delta_val**2 - omega_val**2) > subsets.gram_allowance(frame.matrix):
                 raise ValidationError(
                     f"Delta != omega at minimal redundancy: {delta_val!r} vs {omega_val!r}"
                 )
@@ -167,9 +164,7 @@ def minimal_redundancy_study(
 def tau_scaling_study(n_list: list[int], k: int, trials: int, seed: int) -> StudyResult:
     """Exact tau for n x (n+k) unit-column Gaussian matrices; reports the
     normalized medians tau * n^(k - 1/2) per n (tau's FULL_SPARK_BUDGET cap applies)."""
-    _check_trials(trials)
-    if k < 0:
-        raise ValidationError("k must be >= 0")
+    _check_count("k", k)
     rows, medians = _run_study(
         n_list,
         trials,
@@ -192,7 +187,6 @@ def redundancy_stability_study(
     with m = round(r0 * n); medians per n feed the non-decay inspection.  A
     sampled Delta also scores the omega witness's partition, as in
     `FrameAnalysis`."""
-    _check_trials(trials)
     if not r0 > 2:
         raise ValidationError(f"r0 must exceed 2, got {r0!r}")
 

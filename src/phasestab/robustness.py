@@ -22,6 +22,7 @@ from .errors import (
 from .frame_core import (
     Frame,
     SubsetMask,
+    _check_count,
     _check_vector,
     _philox,
     analysis_map,
@@ -41,6 +42,7 @@ from .injectivity import (
     _sphere_descent,
     _unit_rows,
     a0 as a0_search,
+    r_matrix,
 )
 
 EXACT_SUBSET_BUDGET = 1 << 18  # cap on 2^(m-1) for exact Delta
@@ -150,8 +152,7 @@ def delta(
         return value, SubsetMask(bits, m), True
     if mode != "sampled":
         raise ValidationError(f"unknown delta mode {mode!r}")
-    if budget < 1:
-        raise ValidationError(f"sampled Delta needs a budget >= 1, got {budget}")
+    _check_count("budget", budget, 1)
 
     rng = _philox(seed, 0xDE_17A)
 
@@ -214,8 +215,7 @@ def omega(
         return value, SubsetMask(bits, m), True
     if mode != "sampled":
         raise ValidationError(f"unknown omega mode {mode!r}")
-    if budget < 1:
-        raise ValidationError(f"sampled omega needs a budget >= 1, got {budget}")
+    _check_count("budget", budget, 1)
 
     rng = _philox(seed, 0x03E_6A)
     draws = (rng.choice(m, size=n - 1, replace=False) for _ in range(budget))
@@ -342,7 +342,7 @@ def lambdaF(frame: Frame) -> tuple[float, np.ndarray]:
     best_val, x_star = float(sums[best]), xs[best].copy()
 
     # Cross-route: Lambda_F^2 must equal max lambda_max(R(x)) at the argmax.
-    evals, _ = sym_eig((mat * (mat.T @ x_star) ** 2) @ mat.T)
+    evals, _ = sym_eig(r_matrix(frame, x_star))
     cross = float(evals[0])
     scale = max(best_val, cross, 1e-300)
     if abs(cross - best_val) > 1e-6 * scale:
@@ -441,8 +441,7 @@ class QepsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 0:
-            raise ValidationError(f"restarts must be >= 0, got {self.restarts}")
+        _check_count("restarts", self.restarts)
 
 
 def _check_eps(eps: float) -> None:
@@ -706,10 +705,12 @@ def lipschitz_constants(
     lam, lam_arg = lambdaF(frame)
     a0_val, a0_x, a0_u = a0_search(frame, a0_cfg)
 
-    tol = 1e-9 * max(1.0, b_upper)
+    # each link compares values from Grams of F's columns, so squared, within
+    # the Gram route's rounding allowance
+    allowance = subsets.gram_allowance(frame.matrix)
     chain = (delta_val, omega_val, np.sqrt(a_lower), np.sqrt(b_upper))
     for lo, hi, names in zip(chain, chain[1:], ("Delta<=omega", "omega<=sqrtA", "sqrtA<=sqrtB")):
-        if lo > hi + tol:
+        if lo * lo > hi * hi + allowance:
             raise VerdictConflictError(
                 f"stability chain violated ({names}): {lo!r} > {hi!r}"
             )

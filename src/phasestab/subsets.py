@@ -447,6 +447,17 @@ def omega_complements(mat: np.ndarray, rows: Iterable) -> tuple[float, int]:
     return omega_min(mat, _complements(rows, n, m))
 
 
+def gram_allowance(mat: np.ndarray) -> float:
+    """_PRUNE_ULPS * m * eps * ||F||_F^2: the rounding allowance, in squared
+    units, of a lambda_min taken from a Gram of F's columns (a sum of at
+    most m outer products; ||F||_F^2 >= ||F||_2^2 and takes no SVD).  Two
+    such values, or their squared roots, that differ by no more than this
+    cannot be told apart by the Gram route: exact Delta prunes with it, and
+    the stability chain and the minimal-redundancy Delta = omega check
+    compare squared values against it."""
+    return _PRUNE_ULPS * mat.shape[1] * _EPS * float(np.einsum("ij,ij->", mat, mat))
+
+
 def delta_exact(mat: np.ndarray) -> tuple[float, int]:
     """(Delta, witness bitmask): min over S < 2^(m-1) of
     sqrt(A[S] + A[S^c]), A[S] = max(lambda_min(F_S F_S^T), 0); the first
@@ -479,8 +490,8 @@ def delta_exact(mat: np.ndarray) -> tuple[float, int]:
     n, m = mat.shape
     outers = np.einsum("ij,kj->jik", mat, mat)  # (m, n, n)
     # a leaf's value may fall below its nodes' bounds by Gram and eigvalsh
-    # rounding; ||F||_F^2 >= ||F||_2^2 and takes no SVD
-    slack = _PRUNE_ULPS * m * _EPS * float(np.einsum("ij,ij->", mat, mat))
+    # rounding
+    slack = gram_allowance(mat)
     # K nodes per chunk: the stack of K m nodes takes at most CHUNK_BYTES / 2
     # and holds at most 2^(m-1) Grams, half of all 2^m partition sides
     K = max(1, min(CHUNK_BYTES // (16 * m * (2 * n * n + 4)), (1 << m) // (4 * m)))

@@ -273,6 +273,11 @@ class TestBadCounts:
             config(restarts=least - 1)
         with pytest.raises(ValidationError, match=f"restarts must be >= {least}, got -1"):
             config(restarts=-1)
+        # the one count rule: numpy integers count, floats and bools do not
+        assert config(restarts=np.int64(least + 2)).restarts == least + 2
+        for value in (2.5, True):
+            with pytest.raises(ValidationError, match=f"restarts must be an integer, got {value}"):
+                config(restarts=value)
 
     def test_negative_subset_budget_exit_2(self, capsys, tmp_path):
         # 2^20 partitions: Delta would be sampled, over a budget of -5
@@ -457,7 +462,7 @@ class TestRandomStudy:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "error: trials must be >= 1\n"
+        assert captured.err == "error: trials must be >= 1, got 0\n"
 
 
 SEED_ARGV = [
@@ -588,6 +593,7 @@ random-study --study tau --n-list 3,4,5 --k 2 --trials 4 --seed 9: exit=0 stdout
 random-study --study redundancy --n-list 2,3,4 --trials 3 --seed 9: exit=0 stdout=183fb62bb08c634655f3871fd7b80e773e620d37af736afcd246538c275a1eab stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 random-study --study redundancy --n-list 3,8 --trials 2 --subset-budget 128 --seed 9: exit=0 stdout=c3ef1175fb801c63a3f48be9bae0b884b3e9b99a80e74942899eaee756e0fe84 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 random-study --study minimal --n-list 3,3 --trials 2 --seed 9: exit=0 stdout=1d93280abc08433acbc92525a826e12143af26e7c4acc582a53125324a4ac110 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+random-study --study minimal --n-list 6 --trials 2 --seed 1660507856: exit=0 stdout=a2cbe7437dba48edbeb5e8c17302f91ab00c3e9ec22b5863abe35733ff1d8608 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 PHASESTAB_OUTDIR={tmp} random-study --study tau --n-list 3 --trials 2: exit=0 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 random_study.csv=59cdec96861d0927f47c1ae2ff80afd3d2f6c4e2cc9e0c37c3df0c302061ca95 random_study.json=1f244030bc1bfe7cff1dc02d5e2eabfda35c31c75dab83ab13a436c0aeafe1b2
 certify: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=f08dc00e0b8bc29f795b0003a08adee7e2bc72ace57717d675a9ef70727c8ada
 stability --fixture mb3 --x=abc --eps 0.1: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=3e9f6140b86236caf5df9c50688823a2534db7d6e24564b21d4f33d746d76a2b
@@ -597,6 +603,7 @@ constants --fixture mb3 --subset-budget 0: exit=2 stdout=e3b0c44298fc1c149afbf4c
 random-study --study minimal --n-list 3,x --trials 1: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=18b18203644c2d3f9a7e13002588da53aab6350b231d0f8c4a44348e72be44ea
 crlb --fixture mb3 --x=0.6,0.8 --sigma 0: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=766fc4a9e237238b5e7b44757d05fdba1f569476b5741147783862dc17ebf573
 simulate --fixture mb3 --x=0.6,0.8 --sigma -1 --trials 5: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=be2a5772d6a88a788a596c0d9048078373ddbaac14d68083de20a416f77e4ca5
+simulate --fixture mb3 --x=0.6,0.8 --sigma 0.1 --trials 0: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=725ae5a3d942f16a0eab5fc8bbfe24d57cb51c738771b8c91f4d4ca8c6a0dc08
 --help: exit=0 stdout=97ecdef93119a180a8902f84c3c237fc534bad7756ba6a505502c4c757de5542 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 certify --help: exit=0 stdout=b6e26f398836b243d6ec67f12c48bffad08169c5da053940d591549b41bcebf0 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 constants --help: exit=0 stdout=d67ac91d489c8bda7a3241666589d3d26b50b0e586a9da2257a0c1b5de59c951 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855

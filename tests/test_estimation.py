@@ -159,6 +159,14 @@ class TestLSEstimate:
         with pytest.raises(ValidationError, match="measurements must be finite"):
             ls_estimate(MB3, np.array([1.0, bad, 0.5]))
 
+    def test_seed_is_an_integer(self):
+        # row seeds are built from the seed before any stream is keyed
+        y = simulate_measurements(MB3, np.array([0.6, 0.8]), None, seed=0)
+        with pytest.raises(ValidationError, match="seed must be an integer, got 2.5"):
+            ls_estimate(MB3, np.stack([y, y]), LSConfig(restarts=2, seed=2.5))
+        narrow = ls_estimate(MB3, np.stack([y, y]), LSConfig(restarts=2, seed=np.int8(3)))
+        assert np.array_equal(narrow, ls_estimate(MB3, np.stack([y, y]), LSConfig(restarts=2, seed=3)))
+
     def test_returns_canonical_representative(self):
         y = simulate_measurements(MB3, np.array([0.6, 0.8]), None, seed=0)
         xhat = ls_estimate(MB3, y)
@@ -370,6 +378,22 @@ class TestMSE:
         r2 = mse_monte_carlo(MB3, x, sigma=0.01, trials=50, seed=9)
         assert r1.mse == r2.mse
         assert np.array_equal(r1.bias, r2.bias)
+
+    @pytest.mark.parametrize("call, value", [
+        (mse_monte_carlo, lambda run: run.mse), (fisher_empirical, lambda info: info),
+    ], ids=["mse", "fisher"])
+    def test_counts_and_seeds_are_integers(self, call, value):
+        x = np.array([0.6, 0.8])
+        for trials, seed, message in [
+            (2.5, 0, "trials must be an integer, got 2.5"),
+            (0, 0, "trials must be >= 1, got 0"),
+            (5, 2.5, "seed must be an integer, got 2.5"),
+        ]:
+            with pytest.raises(ValidationError, match=message):
+                call(MB3, x, 0.01, trials=trials, seed=seed)
+        got = call(MB3, x, 0.01, trials=np.int64(5), seed=np.uint32(9))
+        want = call(MB3, x, 0.01, trials=5, seed=9)
+        assert np.array_equal(value(got), value(want))
 
     def test_per_trial_rows(self):
         run = mse_monte_carlo(MB3, np.array([1.0, 0.0]), sigma=0.01, trials=20, seed=2)

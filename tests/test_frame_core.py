@@ -115,7 +115,7 @@ class TestSymEig:
 
     def test_rejects_asymmetric(self):
         M = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^matrix is not symmetric"):
             sym_eig(M)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 24])
@@ -288,6 +288,16 @@ class TestSeedStreams:
         for tag in self.TAGS:
             old = np.random.default_rng(np.random.Philox(key=[seed, tag])).standard_normal(8)
             assert np.array_equal(frame_core._philox(seed, tag).standard_normal(8), old)
+
+    @pytest.mark.parametrize("seed", [2.5, 2.0, True, "2", None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValidationError, match=f"seed must be an integer, got {seed!r}"):
+            frame_core._philox(seed, 0)
+
+    def test_numpy_integer_seeds_keep_their_streams(self):
+        for seed in (np.int64(-3), np.uint64(2**63 + 5), np.int8(7)):
+            want = frame_core._philox(int(seed), 0x15E).standard_normal(4)
+            assert np.array_equal(frame_core._philox(seed, 0x15E).standard_normal(4), want)
 
     def test_seeds_past_int64_are_distinct(self):
         """The redundancy study passes seed + trial, which passes 2^63 - 1

@@ -177,10 +177,16 @@ class TestA0:
         ("max_iters", -5, "max_iters must be >= 0, got -5"),
         ("restarts", 2.5, "restarts must be an integer, got 2.5"),
         ("max_iters", 60.0, "max_iters must be an integer, got 60.0"),
+        ("restarts", True, "restarts must be an integer, got True"),
     ])
     def test_config_rejects_bad_counts(self, field, value, message):
         with pytest.raises(ValidationError, match=message):
             A0Config(**{field: value})
+
+    def test_seed_is_an_integer(self):
+        # a float seed used to run the truncated seed's stream
+        with pytest.raises(ValidationError, match="seed must be an integer, got 2.5"):
+            a0(random_frame(3, 7, 5), A0Config(seed=2.5))
 
     def test_config_takes_numpy_integers(self):
         fr = random_frame(3, 6, 5)

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from phasestab import (
     random_frames,
     minimal_redundancy_study,
     redundancy_stability_study,
+    subsets,
     tau_scaling_study,
     witness_bound_51,
 )
@@ -95,6 +97,28 @@ class TestMinimalRedundancyStudy:
         with pytest.raises(BudgetExceededError):
             minimal_redundancy_study([20], trials=1, seed=0)
 
+    @pytest.mark.parametrize("n_list, seed", [([6], 1660507856), ([4, 5, 6, 7], 2145281599)])
+    def test_delta_equals_omega_up_to_gram_rounding(self, n_list, seed):
+        # Delta and omega differ by about 2e-10 at n = 6 here, within the
+        # Gram route's rounding, in squared units
+        res = minimal_redundancy_study(n_list, trials=2, seed=seed)
+        assert len(res.rows) == 2 * len(n_list)
+
+    @pytest.mark.parametrize("excess", [0.5, 2.0])
+    def test_delta_equals_omega_allows_the_gram_rounding_only(self, excess, monkeypatch):
+        # Delta^2 moved to omega^2 + excess allowances
+        def delta_above(frame, mode):
+            n, m = frame.dim, frame.count
+            omega_val, _ = subsets.omega_complements(frame.matrix, combinations(range(m), n - 1))
+            return math.sqrt(omega_val**2 + excess * subsets.gram_allowance(frame.matrix)), None, True
+
+        monkeypatch.setattr(random_frames, "delta_op", delta_above)
+        if excess < 1:
+            minimal_redundancy_study([3], trials=1, seed=0)
+        else:
+            with pytest.raises(ValidationError, match="Delta != omega at minimal redundancy"):
+                minimal_redundancy_study([3], trials=1, seed=0)
+
 
 class TestTauScalingStudy:
     def test_values_match_bruteforce(self):
@@ -158,9 +182,10 @@ class TestRedundancyStabilityStudy:
     ],
     ids=["minimal", "tau", "redundancy"],
 )
-@pytest.mark.parametrize("trials", [0, -2])
+@pytest.mark.parametrize("trials", [0, -2, 2.5, True])
 def test_studies_need_a_trial(study, trials):
-    with pytest.raises(ValidationError, match="trials must be >= 1"):
+    rule = "an integer" if isinstance(trials, (bool, float)) else ">= 1"
+    with pytest.raises(ValidationError, match=f"trials must be {rule}, got {trials}"):
         study(trials)
 
 

@@ -14,6 +14,7 @@ from phasestab import (
     NotAFrameError,
     QepsConfig,
     ValidationError,
+    VerdictConflictError,
     analysis_map,
     complement_property,
     delta,
@@ -38,7 +39,7 @@ from phasestab import (
     v_ratios_batch,
     worst_case_witness,
 )
-from phasestab import injectivity, subsets
+from phasestab import injectivity, robustness, subsets
 from phasestab.robustness import _line_maxima
 
 MB3 = mercedes_benz_frame()
@@ -120,8 +121,14 @@ class TestSubsetConstants:
             omega(MB3, mode="sampled", budget=0)
 
     def test_sampled_delta_needs_budget(self):
-        with pytest.raises(ValidationError, match="budget >= 1"):
+        with pytest.raises(ValidationError, match="budget must be >= 1, got 0"):
             delta(MB3, mode="sampled", budget=0)
+
+    @pytest.mark.parametrize("kernel", [delta, omega])
+    def test_sampled_budget_is_an_integer(self, kernel):
+        with pytest.raises(ValidationError, match="budget must be an integer, got 2.5"):
+            kernel(MB3, mode="sampled", budget=2.5)
+        assert kernel(MB3, mode="sampled", budget=np.int64(8)) == kernel(MB3, mode="sampled", budget=8)
 
     def test_tau_needs_rank_n_subset(self):
         with pytest.raises(NotAFrameError):
@@ -407,6 +414,33 @@ class TestLipschitzConstants:
         assert d_val == math.sqrt(subsets.partition_bounds(fr.matrix, [d_mask.bits])[0])
         c = lipschitz_constants(fr, A0Config(restarts=1, max_iters=5))
         assert (c.Delta, c.omega) == (d_val, o_val)
+
+    def test_chain_holds_with_a_repeated_column(self):
+        # a side of n or more columns that does not span keeps exact Delta at
+        # its Gram's rounding residue (1.1e-8 at seed 19) while omega is 0;
+        # the chain compares squares within the Gram route's allowance
+        for seed in range(200):
+            mat = np.random.default_rng(seed).standard_normal((3, 5))
+            mat[:, 1] = mat[:, 0]
+            lipschitz_constants(Frame(mat), A0Config(restarts=1, max_iters=5))
+
+    @pytest.mark.parametrize("excess", [0.5, 2.0])
+    def test_chain_allows_the_gram_rounding_only(self, excess, monkeypatch):
+        # Delta^2 moved to omega^2 + excess allowances
+        kernel = robustness.delta
+
+        def delta_above(frame, **kw):
+            _, mask, exact = kernel(frame, **kw)
+            grown = robustness.omega(frame)[0] ** 2 + excess * subsets.gram_allowance(frame.matrix)
+            return math.sqrt(grown), mask, exact
+
+        monkeypatch.setattr(robustness, "delta", delta_above)
+        if excess < 1:
+            c = lipschitz_constants(MB3)
+            assert c.Delta > c.omega
+        else:
+            with pytest.raises(VerdictConflictError, match=r"chain violated \(Delta<=omega\)"):
+                lipschitz_constants(MB3)
 
     def test_mercedes_benz_constants(self):
         c = lipschitz_constants(MB3)

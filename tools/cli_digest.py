@@ -46,6 +46,8 @@ RECIPES = [
         "redundancy --n-list 3,8 --trials 2 --subset-budget 128",
         "minimal --n-list 3,3 --trials 2",
     )),
+    # Delta and omega 1.8e-10 apart, within the Gram route's rounding
+    "random-study --study minimal --n-list 6 --trials 2 --seed 1660507856",
     "PHASESTAB_OUTDIR={tmp} random-study --study tau --n-list 3 --trials 2",
     # error cases: exit 2 with a message on stderr and nothing on stdout
     "certify",
@@ -56,6 +58,7 @@ RECIPES = [
     "random-study --study minimal --n-list 3,x --trials 1",
     "crlb --fixture mb3 --x=0.6,0.8 --sigma 0",
     "simulate --fixture mb3 --x=0.6,0.8 --sigma -1 --trials 5",
+    "simulate --fixture mb3 --x=0.6,0.8 --sigma 0.1 --trials 0",
     # help text
     "--help",
     *(f"{cmd} --help" for cmd in (

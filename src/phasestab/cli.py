@@ -1,9 +1,10 @@
 """Command-line front end: reproducible certificates, constants and studies.
 
-Exit codes: 0 success, 2 parse/validation error, 3 enumeration budget
-exceeded.  All numeric output carries 17 significant digits and default
-seeds are fixed (0), so re-running a command with identical flags produces
-byte-identical files.
+Exit codes: 0 success, 2 parse/validation error or an input or output
+file that cannot be read or written, 3 enumeration budget exceeded.  All
+numeric output carries 17 significant digits and default seeds are fixed
+(0), so re-running a command with identical flags produces byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -232,7 +233,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (PhasestabError, FileNotFoundError) as exc:
+    except (PhasestabError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -125,7 +125,7 @@ def _crlb_matrix(frame: Frame, x: np.ndarray, sigma: float) -> tuple[np.ndarray,
     evals, _ = sym_eig(info)
     if evals[-1] <= 1e-12 * max(evals[0], 1e-300):
         raise SingularFisherError(
-            f"Fisher information singular at x={x.tolist()}: lambda_min={evals[-1]!r}"
+            f"Fisher information singular at x={x.tolist()}: lambda_min={float(evals[-1])!r}"
         )
     return info, np.linalg.inv(info)
 

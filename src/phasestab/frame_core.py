@@ -286,20 +286,18 @@ def matrix_rank(mat: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 def frame_from_json_dict(doc: dict) -> Frame:
+    """The frame of a {"dim": n, "count": m, "columns": [m lists of n
+    numbers]} document; ValidationError for any other shape or entry."""
     try:
-        n = int(doc["dim"])
-        m = int(doc["count"])
-        cols = doc["columns"]
+        n, m = int(doc["dim"]), int(doc["count"])
+        cols = np.array(doc["columns"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad frame JSON: {exc}") from exc
-    if len(cols) != m:
-        raise ValidationError(f"frame JSON declares count={m} but has {len(cols)} columns")
-    mat = np.empty((n, m))
-    for j, col in enumerate(cols):
-        if len(col) != n:
-            raise ValidationError(f"column {j} has length {len(col)}, expected dim={n}")
-        mat[:, j] = col
-    return Frame(mat)
+    if cols.shape != (m, n):
+        raise ValidationError(
+            f"frame JSON declares dim={n}, count={m} but its columns have shape {cols.shape}"
+        )
+    return Frame(cols.T)
 
 
 def frame_to_json_dict(frame: Frame) -> dict:

@@ -348,17 +348,19 @@ def a0(frame: Frame, cfg: A0Config | None = None) -> tuple[float, np.ndarray, np
         gram_vecs[:, -1],
         rng.standard_normal((cfg.restarts, frame.dim)),
     ]))
-    # The winner as the one-start loop picks it: the first least value, up
-    # to the first 0.0 (the starts after it are unfinished or never run).
-    # Chunks of starts run in order, so a start at 0.0 skips later chunks.
+    # The winner is the first least value, as in every search: argmin in a
+    # chunk, strictly lower across chunks.  Values are at least 0, so a
+    # start at 0.0 wins over the unfinished starts after it and skips later
+    # chunks.
     best, kept = None, []
     rows = max(1, subsets.CHUNK_BYTES // (8 * frame.dim * frame.count))
     for lo in range(0, len(xs), rows):
-        for val, x, u in zip(*_a0_lockstep(mat, xs[lo:lo + rows], cfg.max_iters, kept)):
-            if best is None or val < best[0]:
-                best = (float(val), x.copy(), u.copy())
-            if best[0] == 0.0:
-                return best
+        vals, x, u = _a0_lockstep(mat, xs[lo:lo + rows], cfg.max_iters, kept)
+        i = int(np.argmin(vals))
+        if best is None or vals[i] < best[0]:
+            best = (float(vals[i]), x[i].copy(), u[i].copy())
+        if best[0] == 0.0:
+            return best
     return best
 
 

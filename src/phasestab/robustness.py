@@ -140,8 +140,10 @@ def delta(
     most max(budget, EXACT_SUBSET_BUDGET), whatever the frame: the budget
     counts partitions, not the Grams the search solves or its memory.  Sampled
     mode scores seeded random and thin subsets in one `subsets.partition_bounds`
-    call, then descends by Hamming-distance-1 flips, scored in blocks; the
-    result is then an upper bound (exact=False).
+    call and keeps the first of least value in bitmask order, then descends
+    by Hamming-distance-1 flips, scored in blocks, taking a flip only when
+    it scores strictly lower; the result is then an upper bound
+    (exact=False).
     """
     n, m = frame.dim, frame.count
     full = (1 << m) - 1
@@ -170,27 +172,28 @@ def delta(
         candidates.add(sum(1 << int(i) for i in draw))
 
     masks = sorted(candidates)
-    best = subsets.SlackMin(frame.max_column_norm() ** 2)
-    best.scan(subsets.partition_bounds(frame.matrix, masks), masks)
+    values = subsets.partition_bounds(frame.matrix, masks)
+    i = int(np.argmin(values))
+    value, key = values[i], masks[i]
     # Local descent: flip one index at a time, keeping each flip that
-    # improves by more than the slack (first improvement, in index order).
+    # scores strictly lower (first improvement, in index order).
     # Flips are scored in blocks of 1, 2, 4, ... per call, back to 1 after
     # a kept flip, so the flips scored past a kept one are at most as many
     # as those scored since the previous kept flip.
     for _ in range(20):
-        start, i, size = best.key, 0, 1
+        start, i, size = key, 0, 1
         while i < m:
-            flips = [best.key ^ (1 << j) for j in range(i, min(m, i + size))]
+            flips = [key ^ (1 << j) for j in range(i, min(m, i + size))]
             values = subsets.partition_bounds(frame.matrix, flips)
-            hits = np.flatnonzero(values < best.value - best.slack)
+            hits = np.flatnonzero(values < value)
             if hits.size:
-                best.value, best.key = values[hits[0]], flips[hits[0]]
+                value, key = values[hits[0]], flips[hits[0]]
                 i, size = i + int(hits[0]) + 1, 1
             else:
                 i, size = i + len(flips), 2 * size
-        if best.key == start:  # values only fall, so no flip improved
+        if key == start:  # values only fall, so no flip improved
             break
-    return float(np.sqrt(best.value)), SubsetMask(best.key, m), False
+    return float(np.sqrt(value)), SubsetMask(key, m), False
 
 
 def omega(
@@ -204,9 +207,8 @@ def omega(
     Exact mode: sigma_n grows with S, so the minimum sits at a least such S,
     an H_T^c (`subsets.hyperplane_complements`), up to FULL_SPARK_BUDGET
     n-subsets; when no n-subset spans, omega = 0 at S = {}.  The witness is
-    the first candidate in combinations order of T, replaced only by a value
-    more than 1e-15 times the largest column norm below it.  Sampled mode
-    draws the T and keeps the same tie-break.
+    the first candidate of least value in combinations order of T.  Sampled
+    mode draws the T and keeps the first of least value in draw order.
     """
     n, m = frame.dim, frame.count
     if mode == "exact":
@@ -712,7 +714,7 @@ def lipschitz_constants(
     for lo, hi, names in zip(chain, chain[1:], ("Delta<=omega", "omega<=sqrtA", "sqrtA<=sqrtB")):
         if lo * lo > hi * hi + allowance:
             raise VerdictConflictError(
-                f"stability chain violated ({names}): {lo!r} > {hi!r}"
+                f"stability chain violated ({names}): {float(lo)!r} > {float(hi)!r}"
             )
 
     return StabilityConstants(

@@ -31,11 +31,12 @@ membership rows, with one batched LAPACK call per chunk:
   sigma ~ 1e-6.  A set of fewer than n columns never spans, so its
   sigma_n and lambda_min are 0 exactly and take no eigensolve, in omega
   and in exact and sampled Delta alike (`_gram_lambda_min`): the lambda_min
-  of its Gram is rounding noise.  Exact omega skips a square row, once it
-  has an incumbent best, when
-  L^2 > (best^2 + _PRUNE_ULPS * n * eps * ||F_S||_F^2) * (1 + 8 eps): the
-  Gram route's lambda_min is within that allowance of sigma_n^2 >= L^2, so
-  the row's value would be at least best and never taken.  Exact Delta,
+  of its Gram is rounding noise.  One function, `gram_allowance`, states
+  the Gram route's rounding, _PRUNE_ULPS * k * eps * ||F_S||_F^2 for k
+  columns.  Exact omega skips a square row, once it has an incumbent best,
+  when L^2 > (best^2 + gram_allowance(F_S)) * (1 + 8 eps): the Gram
+  route's lambda_min is within that allowance of sigma_n^2 >= L^2, so the
+  row's value would be above best and never taken.  Exact Delta,
   once it has an incumbent, keeps a side Gram's L in place of its
   lambda_min >= L where L already takes the node past the prune limit
   (past the incumbent, at a leaf), and drops the node without eigvalsh.
@@ -54,10 +55,10 @@ membership rows, with one batched LAPACK call per chunk:
 - Exact Delta never walks the 2^(m-1) partitions either: `delta_exact` is a
   depth-first branch-and-bound that assigns columns to S or S^c.  A side's
   lambda_min only grows as columns join it, so a node whose A[S] + A[S^c]
-  so far exceeds best * (1 + _PRUNE_RTOL) + _PRUNE_ULPS * m * eps *
-  ||F||_F^2 holds no minimum and is dropped.  The absolute term covers the
-  Gram and eigvalsh rounding by which a leaf can fall below its node's
-  bound; without it, near-ties at Delta ~ 0 can lose the first minimum.
+  so far exceeds best + gram_allowance(F) holds no minimum and is dropped.
+  The allowance covers the Gram and eigvalsh rounding by which a leaf can
+  fall below its node's bound; without it, near-ties at Delta ~ 0 can lose
+  the first minimum.
   A side of fewer than n columns counts 0 and is never solved.
 
 Enumeration orders and tie-breaks (the witnesses depend on them):
@@ -66,10 +67,11 @@ Enumeration orders and tie-breaks (the witnesses depend on them):
   (lexicographic); `first_deficient` returns the first deficient n-subset.
 - The H_T^c come in combinations order of T; `first_violating_partition`
   returns the smallest violating bitmask below 2^(m-1).
-- omega and sampled Delta keep the first subset in enumeration order and
-  replace it only by a value below the incumbent minus OMEGA_SLACK (1e-15)
-  times s for sigma_n, s^2 for Delta's squared values, s the largest column
-  norm (`SlackMin`).
+- Every search keeps the first least value it computes, in its own
+  enumeration order, with no slack: `np.argmin` within a chunk, a strict
+  `<` across chunks, and in sampled Delta's descent a flip only when it
+  scores strictly lower.  So omega, sampled Delta, tau and a0 each report
+  the least value among those they computed.
 - Exact Delta reports the least bitmask S < 2^(m-1) among the partitions
   of least value, the first minimum in bitmask order: only nodes strictly
   above the incumbent are dropped, so every tie is reached.  Columns are
@@ -107,9 +109,7 @@ from .frame_core import EIG_CLAMP_RTOL, RANK_RTOL
 
 CHUNK_BYTES = 1 << 22        # working set of one chunk (4 MiB)
 FIRST_CHUNK = 64             # subsets in the first chunk of an enumeration
-OMEGA_SLACK = 1e-15          # omega's tie-break slack, relative to the largest column norm
-_PRUNE_RTOL = 1e-12          # exact Delta drops a node above best * (1 + rtol) ...
-_PRUNE_ULPS = 4              # ... + _PRUNE_ULPS * m * eps * ||F||_F^2
+_PRUNE_ULPS = 4              # the Gram route's allowance is _PRUNE_ULPS * k * eps * ||F||_F^2
 _SCREEN_RATIO = 8            # exact Delta's screen: least batch, least yield 1 / ratio
 _EPS = np.finfo(float).eps
 
@@ -269,30 +269,6 @@ def partition_bounds(mat: np.ndarray, masks: list[int]) -> np.ndarray:
     return np.concatenate(out)
 
 
-class SlackMin:
-    """Running minimum with omega's and sampled Delta's tie-break: the first
-    value is taken, and a later value replaces the incumbent only when below
-    it by `slack` = OMEGA_SLACK * scale, the scale of the values: s for
-    sigma_n, s^2 for squared values, where s is the frame's largest column
-    norm, so the tie-break does not change when the frame is scaled.
-    `key` is the incumbent's entry of the keys passed along with the values."""
-
-    def __init__(self, scale: float):
-        self.value, self.key, self.slack = np.inf, None, OMEGA_SLACK * scale
-
-    def scan(self, values: np.ndarray, keys) -> None:
-        start = 0
-        if self.key is None and len(values):
-            self.value, self.key, start = values[0], keys[0], 1
-        while True:
-            hits = np.flatnonzero(values[start:] < self.value - self.slack)
-            if not hits.size:
-                return
-            start += int(hits[0])
-            self.value, self.key = values[start], keys[start]
-            start += 1
-
-
 # ---------------------------------------------------------------------------
 # Kernels.
 # ---------------------------------------------------------------------------
@@ -419,43 +395,47 @@ def kernel_starts(mat: np.ndarray) -> np.ndarray:
 
 def omega_min(mat: np.ndarray, chunks: Iterable[np.ndarray]) -> tuple[float, int]:
     """(min, witness bitmask) of sigma_n(F_S) over the membership rows S of
-    the chunks, in order, with omega's tie-break: exact omega over the
-    chunks of `hyperplane_complements`.  Once there is an incumbent, a
-    square row whose screen bound keeps its Gram value above it could never
-    be taken, so it is left at inf unsolved."""
+    the chunks: the first least value in their order (exact omega over the
+    chunks of `hyperplane_complements`).  Once there is an incumbent, a
+    square row whose screen bound keeps its Gram value above it, by more
+    than the Gram route's allowance (`gram_allowance` of the row), could
+    never be taken, so it is left at inf unsolved."""
     n = mat.shape[0]
-    best = SlackMin(float(np.max(np.linalg.norm(mat, axis=0))))
+    best, best_row = np.inf, None
     for member in chunks:
         values = np.full(len(member), np.inf)
         for pos, idx in _by_rows(member):
             blocks = _stack(mat, idx)
-            if best.key is not None and idx.shape[1] == n:
-                lower, fro2 = _det_lower(blocks)
-                floor = best.value * best.value + _PRUNE_ULPS * n * _EPS * fro2
-                need = lower * lower <= floor * (1 + 8 * _EPS)
+            if best < np.inf and idx.shape[1] == n:
+                lower = _det_lower(blocks)[0]
+                need = lower * lower <= (best * best + gram_allowance(blocks)) * (1 + 8 * _EPS)
                 pos, blocks = pos[need], blocks[need]
             values[pos] = np.sqrt(_gram_lambda_min(blocks))
-        best.scan(values, member)
-    return float(best.value), _bits(best.key)
+        if len(values) and values.min() < best:
+            i = int(np.argmin(values))
+            best, best_row = values[i], member[i]
+    return float(best), _bits(best_row)
 
 
 def omega_complements(mat: np.ndarray, rows: Iterable) -> tuple[float, int]:
     """(min, witness bitmask) of sigma_n(F_S) over the complements S of the
-    (n-1)-element index rows, in order, with omega's tie-break: omega of a
-    full-spark frame when the rows are all (n-1)-subsets."""
+    (n-1)-element index rows: the first least value in their order, omega
+    of a full-spark frame when the rows are all (n-1)-subsets."""
     n, m = mat.shape
     return omega_min(mat, _complements(rows, n, m))
 
 
-def gram_allowance(mat: np.ndarray) -> float:
-    """_PRUNE_ULPS * m * eps * ||F||_F^2: the rounding allowance, in squared
-    units, of a lambda_min taken from a Gram of F's columns (a sum of at
-    most m outer products; ||F||_F^2 >= ||F||_2^2 and takes no SVD).  Two
-    such values, or their squared roots, that differ by no more than this
-    cannot be told apart by the Gram route: exact Delta prunes with it, and
-    the stability chain and the minimal-redundancy Delta = omega check
-    compare squared values against it."""
-    return _PRUNE_ULPS * mat.shape[1] * _EPS * float(np.einsum("ij,ij->", mat, mat))
+def gram_allowance(mat: np.ndarray) -> float | np.ndarray:
+    """_PRUNE_ULPS * k * eps * ||F||_F^2 for an n x k matrix F, or per block
+    of a stack of them: the rounding allowance, in squared units, of a
+    lambda_min taken from a Gram of F's columns (a sum of at most k outer
+    products; ||F||_F^2 >= ||F||_2^2 and takes no SVD).  Two such values,
+    or their squared roots, that differ by no more than this cannot be told
+    apart by the Gram route: exact Delta prunes with it, exact omega's
+    square-row screen allows it per row, and the stability chain and the
+    minimal-redundancy Delta = omega check compare squared values against
+    it."""
+    return _PRUNE_ULPS * mat.shape[-1] * _EPS * np.einsum("...ij,...ij->...", mat, mat)
 
 
 def delta_exact(mat: np.ndarray) -> tuple[float, int]:
@@ -467,8 +447,8 @@ def delta_exact(mat: np.ndarray) -> tuple[float, int]:
     0 join S or S^c in turn (m-1 always S^c), so each side's Gram is summed
     from the highest index down, as the module docstring fixes.  A side's
     lambda_min only grows as columns join it, so a node whose A[S] + A[S^c]
-    so far exceeds the incumbent by more than the rounding allowance holds
-    no minimum and is dropped.  A side of fewer than n columns counts 0 and
+    so far exceeds the incumbent by more than `gram_allowance` holds no
+    minimum and is dropped.  A side of fewer than n columns counts 0 and
     is never solved.  The frontier is one stack of at most K m nodes,
     ordered by depth; the deepest K are expanded together, in place.
 
@@ -491,7 +471,7 @@ def delta_exact(mat: np.ndarray) -> tuple[float, int]:
     outers = np.einsum("ij,kj->jik", mat, mat)  # (m, n, n)
     # a leaf's value may fall below its nodes' bounds by Gram and eigvalsh
     # rounding
-    slack = gram_allowance(mat)
+    allowance = gram_allowance(mat)
     # K nodes per chunk: the stack of K m nodes takes at most CHUNK_BYTES / 2
     # and holds at most 2^(m-1) Grams, half of all 2^m partition sides
     K = max(1, min(CHUNK_BYTES // (16 * m * (2 * n * n + 4)), (1 << m) // (4 * m)))
@@ -532,7 +512,7 @@ def delta_exact(mat: np.ndarray) -> tuple[float, int]:
         to lo .. lo + k - 1, highest bound first, so that the lowest are
         expanded first.  Returns k."""
         bounds = bound(slice(lo, hi))
-        k = np.count_nonzero(bounds <= best * (1 + _PRUNE_RTOL) + slack)
+        k = np.count_nonzero(bounds <= best + allowance)
         order = lo + np.argsort(-bounds, kind="stable")[hi - lo - k :]  # the dropped sort first
         if k < hi - lo or (order[1:] < order[:-1]).any():
             for arr in (grams, lows, bits, sizes):
@@ -567,7 +547,7 @@ def delta_exact(mat: np.ndarray) -> tuple[float, int]:
         # the minimum nor a tie.
         wide = sizes[lo:top, None] * [1, -1] >= [n, n - depth]  # |S| >= n, |S^c| >= n
         solve(2 * lo + np.flatnonzero(np.isnan(lows[lo:top]) & wide),
-              best if depth == m else best * (1 + _PRUNE_RTOL) + slack)
+              best if depth == m else best + allowance)
         if depth < m:
             counts[depth] = keep(lo, top)
             top = lo + counts[depth]

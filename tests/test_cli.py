@@ -70,6 +70,36 @@ class TestCertify:
         code, _ = run_cli(["certify", str(bad)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("strings.json", b'{"dim": 2, "count": 2, "columns": [["a", "b"], [1, 2]]}'),
+            ("null.json", b'{"dim": 2, "count": 2, "columns": null}'),
+            ("ragged.json", b'{"dim": 2, "count": 2, "columns": [[1, 2], 3]}'),
+            ("negative.json", b'{"dim": -2, "count": 2, "columns": [[1, 2], [3, 4]]}'),
+            ("latin1.json", b'{"dim": 2, "count": 1, "columns": [[1, 2]], "note": "\xe9"}'),
+            ("latin1.csv", b"1,2\n3,\xe9\n"),
+        ],
+        ids=["strings", "null", "ragged", "negative-dim", "non-utf8-json", "non-utf8-csv"],
+    )
+    def test_malformed_frame_exit_2(self, name, data, capsys, tmp_path):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code = main(["certify", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("where", ["frame", "out"])
+    def test_directory_path_exit_2(self, where, capsys, tmp_path):
+        folder = tmp_path / "x.json"
+        folder.mkdir()
+        argv = [str(folder)] if where == "frame" else ["--fixture", "mb3", "--out", str(folder)]
+        code = main(["certify", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ")
+
     def test_complement_over_budget_at_2n_minus_1(self, capsys, monkeypatch):
         # m = 2n - 1: full spark shares the complement check's C(m, n) cap,
         # so it is skipped with it and the a0 search alone decides
@@ -390,10 +420,12 @@ class TestCrlb:
         assert json.loads(out)["fisher"] == original(frame, np.array([0.6, 0.8]), 0.1).tolist()
 
     def test_singular_fisher_exit_2(self, capsys):
-        code, _ = run_cli(
-            ["crlb", "--fixture", "basis2", "--x", "1,0", "--sigma", "0.1"], capsys
-        )
+        code = main(["crlb", "--fixture", "basis2", "--x", "1,0", "--sigma", "0.1"])
+        err = capsys.readouterr().err
         assert code == 2
+        # plain floats, not numpy reprs
+        assert "np.float64" not in err
+        assert err == "error: Fisher information singular at x=[1.0, 0.0]: lambda_min=0.0\n"
 
 
 class TestSimulate:
@@ -566,7 +598,7 @@ class TestReproducibility:
 # A change that moves an output byte updates its line here on purpose.
 PINNED = dict(line.split(": ", 1) for line in """\
 certify --fixture mb3: exit=0 stdout=156c565bede0ebfc89c60bdbc59d593061f43a7725f8166ae6840ef1cdefcb0a stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
-constants --fixture mb3: exit=0 stdout=75b7049ead63b532260967c7e4fbe7903648eb922132ba37f545b061cc96c608 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+constants --fixture mb3: exit=0 stdout=8522549494dfdf0c4f09fd42dda1516b503c78d1332927ee0febcee49b0a63cd stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 certify --fixture basis2: exit=0 stdout=f090b592267934cdee1f767afb8f157ce678d2138bd9824a582c058eb68df7bf stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 constants --fixture basis2: exit=0 stdout=9fd2fdf8a1cc7eb00a11020f29399d7e0fc4088832718a10cfb80c5f10bcca47 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 certify --fixture basis3: exit=0 stdout=f7047245e73a40453e45661cb33390dc5dc48f2679f4d4b599fca09ac36efa58 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
@@ -580,7 +612,7 @@ crlb --fixture basis2 --x=0.6,0.8 --sigma 0.1: exit=0 stdout=b9b5ed67b1d4921c22a
 crlb --fixture basis3 --x=0.6,0.48,0.64 --sigma 0.1: exit=0 stdout=de3849cb4335a1c83138fce6fd17613fb193b6bf7bb94e726a48ada9698f04db stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 crlb --fixture repeated --x=0.6,0.8 --sigma 0.1: exit=0 stdout=f103897e63a90d78e1c13e6e31aef77f6a2862a52a29810a29c6b60bcbefad13 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 crlb --fixture gauss_4x11 --x=0.5,0.5,0.5,0.5 --sigma 0.1: exit=0 stdout=47ab0d75ae75baef5dc2ceb4a0d5846ca2ddc28d5d64a51bf314e59a9b543654 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
-stability --fixture mb3 --x=0.6,0.8 --eps 0.07: exit=0 stdout=5fab386209eeb3f61212860f501ad4472a5ce900ebcc4d1320a4ec3d75a927f6 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+stability --fixture mb3 --x=0.6,0.8 --eps 0.07: exit=0 stdout=891c28dc941392604348e6153787845b4efc8af758dcab73487253978e0385ba stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 stability --fixture gauss_4x11 --x=0.5,0.5,0.5,0.5 --eps 0.07: exit=0 stdout=2368084f3bd7e0a074f46f6c3a8cabd4072bea328928f0e2b9f33a74edb23b0b stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 stability --fixture basis2 --x=0.6,0.8 --eps 0.07: exit=0 stdout=93a3b8d0386be35bdd080914a1e2b79e54fc661045bb9dd898d2802f209d3c31 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 certify --fixture mb3 --out {tmp}/cert.json: exit=0 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 cert.json=156c565bede0ebfc89c60bdbc59d593061f43a7725f8166ae6840ef1cdefcb0a
@@ -599,6 +631,7 @@ certify: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7
 stability --fixture mb3 --x=abc --eps 0.1: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=3e9f6140b86236caf5df9c50688823a2534db7d6e24564b21d4f33d746d76a2b
 crlb --fixture mb3 --x=1,2,3 --sigma 0.1: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=70ab8c714d48feeec47bf187c4f5ff0cff3ab461171bb251eecaab043566750e
 certify --fixture mb3 --seed 9223372036854775808: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=2612cb77caca87595285e3223c6415c68967f646a74aa533eaa9e8f3ff557b1b
+certify --fixture mb3 --out {tmp}: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=f66e21957dd0175ddc8c2a5b7742bd68f666c9a4e4354c37bcc518d14d227278
 constants --fixture mb3 --subset-budget 0: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=b967f0524b5eb1810f6deecec6a8993a32093a75d163548ad28bddf4cbc33ae2
 random-study --study minimal --n-list 3,x --trials 1: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=18b18203644c2d3f9a7e13002588da53aab6350b231d0f8c4a44348e72be44ea
 crlb --fixture mb3 --x=0.6,0.8 --sigma 0: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=766fc4a9e237238b5e7b44757d05fdba1f569476b5741147783862dc17ebf573

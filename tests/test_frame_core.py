@@ -279,6 +279,23 @@ class TestIO:
         with pytest.raises(ValidationError):
             frame_from_json_dict({"cols": []})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"dim": 2, "count": 2, "columns": [["a", "b"], [1, 2]]},
+            {"dim": 2, "count": 2, "columns": None},
+            {"dim": 2, "count": 2, "columns": [[1, 2], 3]},
+            {"dim": -2, "count": 2, "columns": [[1, 2], [3, 4]]},
+            {"dim": 2, "count": 3, "columns": [[1, 2], [3, 4]]},
+            {"dim": 3, "count": 2, "columns": [[1, 2], [3, 4]]},
+            [1, 2],
+        ],
+        ids=["strings", "null", "ragged", "negative-dim", "count", "dim", "list"],
+    )
+    def test_malformed_json_dict(self, doc):
+        with pytest.raises(ValidationError):
+            frame_from_json_dict(doc)
+
 
 class TestSeedStreams:
     TAGS = [0, 0x61_30, 0x15E, 0xDE_17A, (5 * 1_000_003 + 11) << 32 | 3]

@@ -414,11 +414,9 @@ def _sigma_loop(mat, bits):
 
 
 def _omega_loop(mat):
-    """Exact omega one subset at a time, with omega's tie-break (a slack of
-    1e-15 times the largest column norm): (omega, witness bitmask,
-    {bitmask: sigma_n} over every candidate)."""
+    """Exact omega one subset at a time, keeping the first least value:
+    (omega, witness bitmask, {bitmask: sigma_n} over every candidate)."""
     n, m = mat.shape
-    slack = subsets.OMEGA_SLACK * Frame(mat).max_column_norm()
     full = (1 << m) - 1
     if full_spark(Frame(mat))[0]:
         candidates = (
@@ -432,7 +430,7 @@ def _omega_loop(mat):
     values = {bits: _sigma_loop(mat, bits) for bits in candidates}
     best_bits, best_val = None, np.inf
     for bits, v in values.items():
-        if v < best_val - slack or best_bits is None:
+        if v < best_val or best_bits is None:
             best_bits, best_val = bits, v
     return best_val, best_bits, values
 
@@ -468,6 +466,20 @@ def _delta_one_stack(mat):
     return float(np.sqrt(sums[best])), best
 
 
+def _column_scaled(power, count):
+    """count frames from default_rng(36): n 2 to 4, m n + 1 to 11, every
+    third with its last column a copy of its first, and each column scaled
+    by 10^-power, 1 or 10^power."""
+    rng = np.random.default_rng(36)
+    for k in range(count):
+        n = int(rng.integers(2, 5))
+        m = int(rng.integers(n + 1, 12))
+        mat = rng.standard_normal((n, m))
+        if k % 3 == 0:
+            mat[:, -1] = mat[:, 0]
+        yield mat * 10.0 ** (power * rng.integers(-1, 2, size=m))
+
+
 class TestAgainstLoops:
     @given(frames(offsets=(6, 14), scales=(-8, 8)))
     @settings(max_examples=30, deadline=None)
@@ -500,7 +512,7 @@ class TestAgainstLoops:
     @example(("duplicated", np.array([
         [-8.019314252534474e-09, -2.4836162209524855e-09, -2.4836162209524855e-09],
         [4.2044523806552145e-09, 1.097063993218082e-09, 1.097063993218082e-09],
-    ])))  # sigma_n({1, 2}) ~ 2e-17 here, and a slack of 1e-15 would keep it over {0}'s 0
+    ])))  # sigma_n({1, 2}) ~ 2e-17 here, above {0}'s 0
     @settings(max_examples=30, deadline=None)
     def test_omega_and_tau_bit_identical_to_loops(self, case):
         _, mat = case
@@ -509,8 +521,7 @@ class TestAgainstLoops:
         ref_value, ref_bits, values = _omega_loop(mat)
         assert value == ref_value
         low = min(values.values())
-        slack = subsets.OMEGA_SLACK * Frame(mat).max_column_norm()
-        ties = [bits for bits, v in values.items() if v <= low + slack]
+        ties = [bits for bits, v in values.items() if v == low]
         if full_spark(Frame(mat))[0] or len(ties) == 1:
             assert witness.bits == ref_bits
         else:
@@ -521,6 +532,20 @@ class TestAgainstLoops:
             assert tau(Frame(mat)) == _tau_loop(mat)
         except NotAFrameError:
             assert _tau_loop(mat) == math.inf
+
+    @pytest.mark.parametrize("power", [8, 150])
+    def test_omega_is_the_first_least_row_on_column_scaled_frames(self, power):
+        # Column norms that span many orders: a row below an earlier one
+        # wins however small the gap, and an equal one never does.
+        for mat in _column_scaled(power, 60):
+            least, first = np.inf, None
+            for member in subsets.hyperplane_complements(mat):
+                for row in member:
+                    value = subsets.sigma_n(mat, np.flatnonzero(row)[None])[0]
+                    if value < least:
+                        least, first = value, row
+            value, witness, _ = omega(Frame(mat))
+            assert (value, witness.bits) == (least, subsets._bits(first))
 
     @given(frames(offsets=(6, 14), scales=(-150, 150)))
     @settings(max_examples=30, deadline=None)
@@ -718,7 +743,6 @@ def _delta_sampled_loop(mat, budget, seed):
     """Sampled Delta scoring one candidate and one flip at a time."""
     n, m = mat.shape
     full = (1 << m) - 1
-    slack = subsets.OMEGA_SLACK * Frame(mat).max_column_norm() ** 2
     rng = np.random.default_rng(np.random.Philox(key=[seed, 0xDE_17A]))
 
     def value(bits):
@@ -744,14 +768,14 @@ def _delta_sampled_loop(mat, budget, seed):
     best_bits, best_val = None, np.inf
     for bits in sorted(candidates):
         v = value(bits)
-        if v < best_val - slack or best_bits is None:
+        if v < best_val or best_bits is None:
             best_bits, best_val = bits, v
     for _ in range(20):
         improved = False
         for i in range(m):
             cand = best_bits ^ (1 << i)
             v = value(cand)
-            if v < best_val - slack:
+            if v < best_val:
                 best_bits, best_val, improved = cand, v, True
         if not improved:
             break

@@ -12,7 +12,8 @@ SRC_DIR holds the phasestab package to run; it defaults to the src next to
 this script's directory.  A recipe is a command line after `phasestab`;
 `{tmp}` stands for a fresh empty directory, and a leading
 `PHASESTAB_OUTDIR={tmp}` sets that variable for the run.  Files written
-under `{tmp}` are listed by name.
+under `{tmp}` are listed by name, and the directory's path reads `{tmp}`
+again in stdout and stderr.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ RECIPES = [
     "stability --fixture mb3 --x=abc --eps 0.1",
     "crlb --fixture mb3 --x=1,2,3 --sigma 0.1",
     "certify --fixture mb3 --seed 9223372036854775808",
+    "certify --fixture mb3 --out {tmp}",  # an output path that is a directory
     "constants --fixture mb3 --subset-budget 0",
     "random-study --study minimal --n-list 3,x --trials 1",
     "crlb --fixture mb3 --x=0.6,0.8 --sigma 0",
@@ -72,7 +74,8 @@ def sha256(data: bytes) -> str:
 
 def run(recipe: str) -> tuple[int, str, str, dict[str, bytes]]:
     """Run one recipe through `cli.main`: (exit code, stdout, stderr,
-    {file name: bytes} for each file written under `{tmp}`)."""
+    {file name: bytes} for each file written under `{tmp}`), with `{tmp}`
+    for the directory's path in stdout and stderr."""
     from phasestab import cli  # here, so that main can put SRC_DIR first
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -90,7 +93,8 @@ def run(recipe: str) -> tuple[int, str, str, dict[str, bytes]]:
             os.environ.clear()
             os.environ.update(saved)
         files = {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir())}
-    return code, out.getvalue(), err.getvalue(), files
+        out, err = (buf.getvalue().replace(tmp, "{tmp}") for buf in (out, err))
+    return code, out, err, files
 
 
 def digest(recipe: str) -> str:

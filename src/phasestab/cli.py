@@ -233,7 +233,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (PhasestabError, OSError, UnicodeDecodeError) as exc:
+    except (PhasestabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -309,32 +309,35 @@ def frame_to_json_dict(frame: Frame) -> dict:
 
 
 def load_frame(path) -> Frame:
-    """Load a frame from a .json or .csv file (decided by extension)."""
+    """Load a frame from a UTF-8 .json or .csv file (decided by extension)."""
     path = os.fspath(path)
+    if not path.endswith((".json", ".csv")):
+        raise ValidationError(f"{path}: unsupported frame file extension (want .json or .csv)")
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 ({exc})") from exc
     if path.endswith(".json"):
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
         return frame_from_json_dict(doc)
-    if path.endswith(".csv"):
-        rows = []
-        with open(path, newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row:
-                    continue
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError as exc:
-                    raise ValidationError(f"{path}:{lineno}: non-numeric entry ({exc})") from exc
-        if not rows:
-            raise ValidationError(f"{path}: empty CSV")
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise ValidationError(f"{path}: ragged CSV rows, widths {sorted(widths)}")
-        return Frame(np.array(rows))
-    raise ValidationError(f"{path}: unsupported frame file extension (want .json or .csv)")
+    rows = []
+    for lineno, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+        if not row:
+            continue
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: non-numeric entry ({exc})") from exc
+    if not rows:
+        raise ValidationError(f"{path}: empty CSV")
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise ValidationError(f"{path}: ragged CSV rows, widths {sorted(widths)}")
+    return Frame(np.array(rows))
 
 
 def dump_frame_csv(frame: Frame) -> str:

@@ -155,36 +155,40 @@ def _retire_after_zero(vals: np.ndarray, live: np.ndarray) -> None:
         live[zero[0]:] = False
 
 
-def _sphere_descent(f, grad, xs, vals, extras, live, max_iters: int, tol: float,
-                    zero_is_final: bool = False) -> None:
-    """Descent of f on the unit sphere from the live unit rows of xs, all in
-    lockstep, updating xs, vals and extras in place; (vals, extras) = f(xs)
-    row by row, and extras may be None.  Each round takes the projected
-    grad(x, extra) of every live row, then backtracks along it over 40
-    halvings of t until the Armijo test (constant 0.25) holds, and starts
-    that row's next round at min(2t, 1).  A row stops after max_iters
-    rounds, below a gradient norm of tol, or when no t passes.
+def _a0_polish(mat: np.ndarray, xs: np.ndarray, vals: np.ndarray, us: np.ndarray,
+               live: np.ndarray, max_iters: int) -> None:
+    """a0's projected gradient descent of lambda_min(R(x)) on the unit sphere
+    from the live unit rows of xs, all in lockstep, updating xs, vals and us
+    (the eigenvector at x) in place.  Each round takes the projected
+    gradient of sum_j <x,f_j>^2 <u,f_j>^2 in x at every live row, then
+    backtracks along it over 40 halvings of t until the Armijo test
+    (constant 0.25) holds, and starts that row's next round at min(2t, 1).
+    A row stops after max_iters rounds, below a gradient norm of A0_TOL, or
+    when no t passes; a row at 0.0 retires itself and every later row
+    (`_retire_after_zero`).
 
-    The first t of a round is one call of f on every row.  The rows that
-    fail it then try their next k halvings t 2^-j (j < k) in one stacked
-    call, k = max(1, SPEC_ROWS // rows still backtracking) capped by the
-    halvings left, so a stack never holds more than max(live rows,
+    The first t of a round is one `_lambda_min_r` call on every row.  The
+    rows that fail it then try their next k halvings t 2^-j (j < k) in one
+    stacked call, k = max(1, SPEC_ROWS // rows still backtracking) capped
+    by the halvings left, so a stack never holds more than max(live rows,
     SPEC_ROWS) rows.  Each row takes its first passing t and discards the
     candidates after it.  Row by row this is the same arithmetic as a
     descent of one start: ldexp is the exact repeated halving, np.vecdot
     stands for np.dot and sqrt(vecdot(v, v)) for np.linalg.norm(v).  The
     discarded candidates are unit vectors like the others, since
     ||x - t rgrad|| >= 1 when rgrad is orthogonal to x."""
+    ones = np.ones(mat.shape[1])
     step = np.ones(len(xs))
     for _ in range(max_iters):
         rows = np.flatnonzero(live)
         if rows.size == 0:
             break
         x = xs[rows]
-        g = grad(x, None if extras is None else extras[rows])
+        weights = _matvecs(mat.T, x) * _matvecs(mat.T, us[rows]) ** 2
+        g = (2.0 * (mat[None] * weights[:, None, :])) @ ones
         rgrad = g - np.vecdot(g, x)[:, None] * x
         gnorm = np.sqrt(np.vecdot(rgrad, rgrad))
-        flat = gnorm < tol
+        flat = gnorm < A0_TOL
         live[rows[flat]] = False
         rows, x, rgrad, gnorm = rows[~flat], x[~flat], rgrad[~flat], gnorm[~flat]
         t = step[rows]
@@ -195,22 +199,19 @@ def _sphere_descent(f, grad, xs, vals, extras, live, max_iters: int, tol: float,
             ts = np.ldexp(t[todo], -np.arange(k)[:, None])  # (k, rows): halving j of each row
             cand = (x[todo] - ts[:, :, None] * rgrad[todo]).reshape(-1, x.shape[1])
             cand /= np.sqrt(np.vecdot(cand, cand))[:, None]
-            cand_vals, cand_extras = f(cand)
+            cand_vals, cand_us = _lambda_min_r(mat, cand)
             ok = cand_vals.reshape(k, -1) < vals[rows[todo]] - 0.25 * ts * gnorm[todo] ** 2
             hit = ok.any(axis=0)
             first = ok.argmax(axis=0)[hit]
             pick = first * todo.size + np.flatnonzero(hit)
             won = rows[todo[hit]]
-            xs[won], vals[won] = cand[pick], cand_vals[pick]
-            if extras is not None:
-                extras[won] = cand_extras[pick]
+            xs[won], vals[won], us[won] = cand[pick], cand_vals[pick], cand_us[pick]
             step[won] = np.minimum(ts[first, hit] * 2.0, 1.0)
             todo = todo[~hit]
             t[todo] = np.ldexp(t[todo], -k)
             tried += k
         live[rows[todo]] = False  # no t passed
-        if zero_is_final:
-            _retire_after_zero(vals, live)
+        _retire_after_zero(vals, live)
 
 
 def _a0_2d(frame: Frame) -> tuple[float, np.ndarray, np.ndarray]:
@@ -292,18 +293,7 @@ def _a0_lockstep(mat: np.ndarray, xs: np.ndarray, max_iters: int, kept: list):
         xs[acc], us[acc], vals[acc] = x_new[~stop], u_new[~stop], new_vals[~stop]
         _retire_after_zero(vals, live)
     _merge_basins(xs, us, live, kept)
-
-    # Projected gradient polish on the sphere; u is the eigenvector at x.
-    ones = np.ones(mat.shape[1])
-
-    def grad(ys: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        weights = _matvecs(mat.T, ys) * _matvecs(mat.T, vs) ** 2
-        return (2.0 * (mat[None] * weights[:, None, :])) @ ones
-
-    _sphere_descent(
-        lambda ys: _lambda_min_r(mat, ys), grad,
-        xs, vals, us, live, max_iters, A0_TOL, zero_is_final=True,
-    )
+    _a0_polish(mat, xs, vals, us, live, max_iters)
     return vals, xs, us
 
 
@@ -323,7 +313,7 @@ def a0(frame: Frame, cfg: A0Config | None = None) -> tuple[float, np.ndarray, np
     reached that start's point: it is not polished and keeps its own
     alternation value, lambda_min(R(x)) at its own x.  The others take a
     projected gradient polish on the sphere.  All of it runs in
-    lockstep (`_a0_lockstep`, `_merge_basins`, `_sphere_descent`) and is
+    lockstep (`_a0_lockstep`, `_merge_basins`, `_a0_polish`) and is
     bit-identical to running the starts one at a time under the same merge
     rule, stopping at the first that reaches 0.  The starts run in order in
     chunks whose stacked (n, m) arrays take about subsets.CHUNK_BYTES each;

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
+from math import comb, inf
 
 import numpy as np
 
@@ -187,8 +187,8 @@ def redundancy_stability_study(
     with m = round(r0 * n); medians per n feed the non-decay inspection.  A
     sampled Delta also scores the omega witness's partition, as in
     `FrameAnalysis`."""
-    if not r0 > 2:
-        raise ValidationError(f"r0 must exceed 2, got {r0!r}")
+    if not 2 < r0 < inf:
+        raise ValidationError(f"r0 must be finite and exceed 2, got {r0!r}")
 
     def measure(frame, spec, trial):
         n, m, kw = spec.n, spec.m, {"budget": subset_budget, "seed": seed + trial}

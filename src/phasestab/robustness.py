@@ -39,7 +39,6 @@ from .injectivity import (
     A0Config,
     _check_subset_budget,
     _matvecs,
-    _sphere_descent,
     _unit_rows,
     a0 as a0_search,
     r_matrix,
@@ -48,9 +47,9 @@ from .injectivity import (
 EXACT_SUBSET_BUDGET = 1 << 18  # cap on 2^(m-1) for exact Delta
 DEFAULT_SAMPLE_BUDGET = 512
 
-LAMBDA_RESTARTS = 32           # seeded random starts of the Lambda_F ascent
-LAMBDA_MAX_ITERS = 200
-LAMBDA_TOL = 1e-12             # ascent stops below this gradient norm
+LAMBDA_RESTARTS = 32           # seeded random starts of the Lambda_F power iteration
+LAMBDA_MAX_ITERS = 1000        # rounds per start; a start also stops at its first
+                               # round whose quartic sum does not rise
 QEPS_REFINE_ROUNDS = 60        # hill-climb rounds on the winning direction
 
 
@@ -312,10 +311,17 @@ def lambdaF(frame: Frame) -> tuple[float, np.ndarray]:
     sum is const + Re(C1 s^-1) + Re(C2 s^-2) in s = e^(2ia),
     C1 = sum_k |z_k| z_k / 2 and C2 = sum_k z_k^2 / 8, and its critical
     points are roots of -2 conj(C2) s^4 - conj(C1) s^3 + C1 s + 2 C2.
-    For n >= 3 a0's sphere descent runs on the negated sum (IEEE negation is
-    exact) from the axes, the frame vectors and LAMBDA_RESTARTS seeded
-    starts, all in lockstep (`_sphere_descent`), bit-identical to one start
-    at a time.  The first largest value wins.
+    For n >= 3 the power iteration x <- F (F^T x)^3 / ||F (F^T x)^3|| runs
+    from the axes, the frame vectors and LAMBDA_RESTARTS seeded starts, all
+    in lockstep.  The sum is convex, so a step never lowers it in exact
+    arithmetic (Kolda and Mayo, SIAM J. Matrix Anal. Appl. 32(4), 2011, at
+    shift 0); a start keeps the new point only where its sum rises
+    strictly, and retires at its first round without a rise or after
+    LAMBDA_MAX_ITERS rounds.  Every step is per row (`_matvecs`,
+    np.vecdot), so a start in the stack is bit-identical to the start run
+    alone, and scaling F by a power of two scales every iterate's sum
+    exactly while the sums stay in the float range.  The first largest
+    value wins.
     Cross-checked against Lambda_F^2 = max over unit x of lambda_max(R(x));
     the two routes must agree within 1e-6 relative.
     """
@@ -333,21 +339,25 @@ def lambdaF(frame: Frame) -> tuple[float, np.ndarray]:
     else:
         rng = _philox(0, 0x1A_4F)
         xs = _unit_rows(np.vstack([np.eye(n), mat.T, rng.standard_normal((LAMBDA_RESTARTS, n))]))
-        negs = -_quartic_sums(mat, xs)
-        _sphere_descent(
-            lambda ys: (-_quartic_sums(mat, ys), None),
-            lambda ys, _: -_matvecs(4.0 * mat, _matvecs(mat.T, ys) ** 3),
-            xs, negs, None, np.ones(len(xs), dtype=bool), LAMBDA_MAX_ITERS, LAMBDA_TOL,
-        )
-        sums = -negs
+        sums = _quartic_sums(mat, xs)
+        # <x, F (F^T x)^3> is the sum, so only a start at 0 can map to 0
+        live = np.flatnonzero(sums > 0)
+        for _ in range(LAMBDA_MAX_ITERS):
+            if live.size == 0:
+                break
+            g = _matvecs(mat, _matvecs(mat.T, xs[live]) ** 3)
+            g /= np.sqrt(np.vecdot(g, g))[:, None]
+            new = _quartic_sums(mat, g)
+            up = new > sums[live]
+            live = live[up]
+            xs[live], sums[live] = g[up], new[up]
     best = int(np.argmax(sums))  # the first largest value
     best_val, x_star = float(sums[best]), xs[best].copy()
 
     # Cross-route: Lambda_F^2 must equal max lambda_max(R(x)) at the argmax.
     evals, _ = sym_eig(r_matrix(frame, x_star))
     cross = float(evals[0])
-    scale = max(best_val, cross, 1e-300)
-    if abs(cross - best_val) > 1e-6 * scale:
+    if abs(cross - best_val) > 1e-6 * max(best_val, cross):
         raise VerdictConflictError(
             f"Lambda_F routes disagree: quartic {best_val!r} vs lambda_max(R) {cross!r}"
         )

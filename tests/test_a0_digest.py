@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 
-from phasestab import A0Config, Frame, a0, mercedes_benz_frame
+from phasestab import A0Config, Frame, a0, lambdaF, mercedes_benz_frame
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "a0_digest.py"
 spec = importlib.util.spec_from_file_location("a0_digest", TOOL)
@@ -20,8 +20,9 @@ def test_frames_are_fixtures_criterion_2_then_the_mix():
 
 
 def test_line_holds_a0_scale_and_verdict():
-    assert a0_digest.line("mb3", mercedes_benz_frame(), A0Config()) == (
-        f"mb3: a0={a0(mercedes_benz_frame())[0]!r} a0_scale=1.0 positive=True")
+    mb3 = mercedes_benz_frame()
+    assert a0_digest.line("mb3", mb3, A0Config()) == (
+        f"mb3: a0={a0(mb3)[0]!r} lambdaF={lambdaF(mb3)[0]!r} a0_scale=1.0 positive=True")
     short = Frame(np.random.default_rng(4).standard_normal((3, 4)))
     assert a0_digest.line("short", short, A0Config()).endswith(" positive=False")
 

@@ -89,6 +89,8 @@ class TestCertify:
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err.startswith("error: ")
+        if name.startswith("latin1"):
+            assert str(path) in captured.err
 
     @pytest.mark.parametrize("where", ["frame", "out"])
     def test_directory_path_exit_2(self, where, capsys, tmp_path):
@@ -152,6 +154,16 @@ class TestConstants:
         assert code == 0
         doc = json.loads(out)
         assert doc["Delta"] == 0.0
+
+    def test_small_scale_frame(self, capsys, tmp_path):
+        # Lambda_F's search has no absolute tolerance, so its two routes
+        # agree on a frame of column norms about 0.17
+        path = tmp_path / "small.csv"
+        mat = np.random.default_rng(1).standard_normal((3, 7)) * 0.1
+        path.write_text(phasestab.dump_frame_csv(phasestab.Frame(mat)))
+        code, out = run_cli(["constants", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["lambdaF"] > 0
 
 
 class TestStability:
@@ -606,7 +618,7 @@ constants --fixture basis3: exit=0 stdout=06a1a65b2515f0b6f60b97bd4d53def8f0af6c
 certify --fixture repeated: exit=0 stdout=6955e69482e599d1d9325807dd2d624baecd4b323a22ff29386ae308f6940b6b stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 constants --fixture repeated: exit=0 stdout=00ddcf623d710037b2db53aa684e784690a7fcaa19eed8211d846bd3755655da stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 certify --fixture gauss_4x11: exit=0 stdout=5b4590aed1e0e82542d4d0f15f978d94e247121fd3cd0083c7099c5cc337a567 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
-constants --fixture gauss_4x11: exit=0 stdout=0d54840e1aba0b44f43656b825b883d734c2a04f0a32d5d738ec7fe092991062 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+constants --fixture gauss_4x11: exit=0 stdout=67258348516ca38f5d2151ad2ac0892122a6473c5ee0c59631ea75fd334c2d35 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 crlb --fixture mb3 --x=0.6,0.8 --sigma 0.1: exit=0 stdout=8b62791e0f5106a6235663788b2cbe8fdcb33c77124d8e3c3bfed4b35c57e97f stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 crlb --fixture basis2 --x=0.6,0.8 --sigma 0.1: exit=0 stdout=b9b5ed67b1d4921c22a4698af1eb411b9695ceb34605da97f9f89befed05fa7f stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 crlb --fixture basis3 --x=0.6,0.48,0.64 --sigma 0.1: exit=0 stdout=de3849cb4335a1c83138fce6fd17613fb193b6bf7bb94e726a48ada9698f04db stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
@@ -634,6 +646,7 @@ certify --fixture mb3 --seed 9223372036854775808: exit=2 stdout=e3b0c44298fc1c14
 certify --fixture mb3 --out {tmp}: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=f66e21957dd0175ddc8c2a5b7742bd68f666c9a4e4354c37bcc518d14d227278
 constants --fixture mb3 --subset-budget 0: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=b967f0524b5eb1810f6deecec6a8993a32093a75d163548ad28bddf4cbc33ae2
 random-study --study minimal --n-list 3,x --trials 1: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=18b18203644c2d3f9a7e13002588da53aab6350b231d0f8c4a44348e72be44ea
+random-study --study redundancy --n-list 3 --trials 1 --r0 inf: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=3fdf78cc4414447d774fc6ee31762f372f5a4a525d751e77d795487117c02772
 crlb --fixture mb3 --x=0.6,0.8 --sigma 0: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=766fc4a9e237238b5e7b44757d05fdba1f569476b5741147783862dc17ebf573
 simulate --fixture mb3 --x=0.6,0.8 --sigma -1 --trials 5: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=be2a5772d6a88a788a596c0d9048078373ddbaac14d68083de20a416f77e4ca5
 simulate --fixture mb3 --x=0.6,0.8 --sigma 0.1 --trials 0: exit=2 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=725ae5a3d942f16a0eab5fc8bbfe24d57cb51c738771b8c91f4d4ca8c6a0dc08

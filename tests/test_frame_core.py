@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from importlib import resources
 
@@ -273,6 +274,16 @@ class TestIO:
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0\n3.0,oops\n")
         with pytest.raises(ValidationError, match=":2:"):
+            load_frame(path)
+
+    @pytest.mark.parametrize("name, data", [
+        ("latin1.json", b'{"dim": 2, "count": 1, "columns": [[1, 2]], "note": "\xe9"}'),
+        ("latin1.csv", b"1,2\n3,\xe9\n"),
+    ], ids=["json", "csv"])
+    def test_non_utf8_file_names_the_file(self, name, data, tmp_path):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: not UTF-8"):
             load_frame(path)
 
     def test_bad_json_dict(self):

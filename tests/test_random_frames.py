@@ -142,8 +142,9 @@ class TestTauScalingStudy:
 
 class TestRedundancyStabilityStudy:
     def test_requires_r0_above_two(self):
-        with pytest.raises(ValidationError):
-            redundancy_stability_study(2.0, [4], trials=1, subset_budget=64, seed=0)
+        for r0 in (2.0, float("inf")):
+            with pytest.raises(ValidationError):
+                redundancy_stability_study(r0, [4], trials=1, subset_budget=64, seed=0)
 
     def test_small_exact_run(self):
         res = redundancy_stability_study(3.0, [3], trials=3, subset_budget=1 << 10, seed=5)

@@ -172,6 +172,30 @@ class TestLambdaF:
             lam = np.linalg.eigvalsh(oracles.r_matrix_naive(fr.matrix, x)).max()
             assert lam ** 0.25 <= val + 1e-6
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_power_of_two_scale(self, seed):
+        # 2^k F scales every power iterate's quartic sum by 2^(4k) exactly
+        mat = np.random.default_rng(seed).standard_normal((3 + seed % 3, 7 + seed % 4))
+        val, x_star = lambdaF(Frame(mat))
+        for k in range(-60, 61, 4):
+            scaled, x_k = lambdaF(Frame(np.ldexp(mat, k)))
+            want = np.ldexp(val, k)
+            np.testing.assert_array_equal(x_k, x_star)
+            assert abs(scaled - want) <= np.spacing(want)
+
+    def test_column_scaled_frames(self):
+        # column norms spanning 10^16: the routes agree within 1e-6 on all
+        rng = np.random.default_rng(36)
+        for k in range(400):
+            n = int(rng.integers(3, 5))
+            m = int(rng.integers(n + 1, 12))
+            mat = rng.standard_normal((n, m))
+            if k % 3 == 0:
+                mat[:, -1] = mat[:, 0]
+            mat *= 10.0 ** (8 * rng.integers(-1, 2, size=m))
+            val = lambdaF(Frame(mat))[0]
+            assert val >= (1 - 1e-14) * np.max(np.linalg.norm(mat, axis=0))  # Lambda_F >= max ||f_j||
+
 
 class TestPointwiseThresholds:
     def test_eps0_mercedes_benz(self):

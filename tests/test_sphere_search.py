@@ -15,7 +15,7 @@ from phasestab import (
 )
 from phasestab.cli import FIXTURES
 from phasestab.injectivity import A0_MERGE_TOL, A0_TOL, SPEC_ROWS
-from phasestab.robustness import LAMBDA_MAX_ITERS, LAMBDA_RESTARTS, LAMBDA_TOL
+from phasestab.robustness import LAMBDA_MAX_ITERS, LAMBDA_RESTARTS
 
 CONFIGS = [A0Config(), A0Config(restarts=8, max_iters=60), A0Config(seed=7)]
 
@@ -24,44 +24,45 @@ def _fixture(name):
     return load_frame(str(resources.files("phasestab.fixtures") / f"{name}.json"))
 
 
-def _sphere_descent_loop(f, grad, x, val, extra, max_iters, tol, log=None):
-    """One start's descent; log, when given, gets each backtracking round's
-    passing halving (0 for the first t) or 40 when no t passed."""
-    step = 1.0
-    for _ in range(max_iters):
-        g = grad(x, extra)
-        rgrad = g - np.dot(g, x) * x
-        gnorm = np.linalg.norm(rgrad)
-        if gnorm < tol:
-            break
-        t = step
-        for j in range(40):
-            cand = x - t * rgrad
-            cand /= np.linalg.norm(cand)
-            cand_val, cand_extra = f(cand)
-            if cand_val < val - 0.25 * t * gnorm**2:
-                x, val, extra = cand, cand_val, cand_extra
-                step = min(t * 2.0, 1.0)
-                break
-            t *= 0.5
-        else:
-            j = 40
-        if log is not None:
-            log.append(j)
-        if j == 40:
-            break
-    return val, x, extra
-
-
 def _lambda_min_r_loop(frame, x):
     evals, evecs = sym_eig(r_matrix(frame, x))
     return float(max(evals[-1], 0.0)), evecs[:, -1]
 
 
-def _a0_descent_loop(frame, x0, cfg, kept):
+def _a0_polish_loop(frame, x, val, u, max_iters, log):
+    """One start's projected gradient polish; log gets each backtracking
+    round's passing halving (0 for the first t) or 40 when no t passed."""
+    mat, ones = frame.matrix, np.ones(frame.count)
+    step = 1.0
+    for _ in range(max_iters):
+        g = 2.0 * (mat * ((mat.T @ x) * (mat.T @ u) ** 2)) @ ones
+        rgrad = g - np.dot(g, x) * x
+        gnorm = np.linalg.norm(rgrad)
+        if gnorm < A0_TOL:
+            break
+        t = step
+        for j in range(40):
+            cand = x - t * rgrad
+            cand /= np.linalg.norm(cand)
+            cand_val, cand_u = _lambda_min_r_loop(frame, cand)
+            if cand_val < val - 0.25 * t * gnorm**2:
+                x, val, u = cand, cand_val, cand_u
+                step = min(t * 2.0, 1.0)
+                break
+            t *= 0.5
+        else:
+            j = 40
+        log.append(j)
+        if j == 40:
+            break
+    return val, x, u
+
+
+def _a0_descent_loop(frame, x0, cfg, kept, logs=None):
     """One start's alternation, then its polish unless its (x, u) lies
     within A0_MERGE_TOL of a point in kept, up to sign; a polished start
-    appends its post-alternation (x, u) to kept."""
+    appends its post-alternation (x, u) to kept, and its halving log to
+    logs when given."""
     x = x0 / np.linalg.norm(x0)
     mat = frame.matrix
     val, u = _lambda_min_r_loop(frame, x)
@@ -77,17 +78,16 @@ def _a0_descent_loop(frame, x0, cfg, kept):
         if 1.0 - abs(np.dot(x, kept_x)) < A0_MERGE_TOL and 1.0 - abs(np.dot(u, kept_u)) < A0_MERGE_TOL:
             return val, x, u
     kept.append((x, u))
-    ones = np.ones(frame.count)
-    return _sphere_descent_loop(
-        lambda y: _lambda_min_r_loop(frame, y),
-        lambda y, v: 2.0 * (mat * ((mat.T @ y) * (mat.T @ v) ** 2)) @ ones,
-        x, val, u, cfg.max_iters, A0_TOL,
-    )
+    log = []
+    if logs is not None:
+        logs.append(log)
+    return _a0_polish_loop(frame, x, val, u, cfg.max_iters, log)
 
 
-def _a0_loop(frame, cfg):
+def _a0_loop(frame, cfg, logs=None):
     """a0 for n >= 3 one start at a time; also returns the final value of
-    every start it ran."""
+    every start it ran.  logs, when given, gets each polished start's
+    halving log."""
     rng = np.random.default_rng(np.random.Philox(key=[cfg.seed, 0x61_30]))
     starts = list(np.eye(frame.dim))
     starts.extend(subsets.kernel_starts(frame.matrix))
@@ -99,7 +99,7 @@ def _a0_loop(frame, cfg):
     for x0 in starts:
         if np.linalg.norm(x0) == 0:
             continue
-        val, x, u = _a0_descent_loop(frame, x0, cfg, kept)
+        val, x, u = _a0_descent_loop(frame, x0, cfg, kept, logs)
         ran.append(val)
         if best is None or val < best[0]:
             best = (val, x, u)
@@ -112,9 +112,9 @@ def _quartic_sum(frame, x):
     return float(np.sum((frame.matrix.T @ x) ** 4))
 
 
-def _lambdaF_loop(frame, logs=None):
-    """Lambda_F one start at a time; logs, when given, gets each start's
-    halving log."""
+def _lambdaF_loop(frame):
+    """Lambda_F one start at a time: each start's power iteration keeps a
+    step only where the quartic sum rises strictly."""
     mat, n = frame.matrix, frame.dim
     rng = np.random.default_rng(np.random.Philox(key=[0, 0x1A_4F]))
     starts = list(np.eye(n)) + [mat[:, j] for j in range(frame.count)]
@@ -125,16 +125,18 @@ def _lambdaF_loop(frame, logs=None):
         if norm == 0:
             continue
         x = x0 / norm
-        log = None if logs is None else []
-        neg, x, _ = _sphere_descent_loop(
-            lambda y: (-_quartic_sum(frame, y), None),
-            lambda y, _: -(4.0 * mat @ ((mat.T @ y) ** 3)),
-            x, -_quartic_sum(frame, x), None, LAMBDA_MAX_ITERS, LAMBDA_TOL, log,
-        )
-        if logs is not None:
-            logs.append(log)
-        if -neg > best_val:
-            best_val, x_star = -neg, x
+        val = _quartic_sum(frame, x)
+        for _ in range(LAMBDA_MAX_ITERS):
+            if val == 0:
+                break
+            g = mat @ ((mat.T @ x) ** 3)
+            cand = g / np.linalg.norm(g)
+            cand_val = _quartic_sum(frame, cand)
+            if not cand_val > val:
+                break
+            x, val = cand, cand_val
+        if val > best_val:
+            best_val, x_star = val, x
     return float(best_val ** 0.25), x_star
 
 
@@ -189,6 +191,14 @@ class TestLockstepMatchesLoops:
     def test_random_frames(self, frame, cfg):
         _assert_same_as_loops(frame, cfg)
 
+    def test_lambdaF_start_with_zero_sum_stays(self):
+        # e_3 is orthogonal to every column: its quartic sum is 0 and
+        # F (F^T e_3)^3 = 0, so it takes no step
+        mat = np.random.default_rng(3).standard_normal((3, 5))
+        mat[2] = 0.0
+        frame = Frame(mat)
+        _assert_bits(lambdaF(frame), _lambdaF_loop(frame))
+
     def test_later_start_at_zero_retires_the_rest(self):
         # start 1 (a kernel vector) descends to 0 while start 0 ends at
         # 1.8e-15: start 0 must run to its end, and the starts after 1, which
@@ -220,20 +230,21 @@ def _passes_inside_later_blocks(logs):
 
 
 class TestSpeculativeHalvings:
-    """After a round's first t, the rows still backtracking try several
-    halvings per call; each row must still take its first passing t."""
+    """After a round's first t, the rows of a0's polish still backtracking
+    try several halvings per call; each row must still take its first
+    passing t."""
 
     def test_start_that_fails_every_halving(self):
-        frame = _fixture("basis3")
+        frame = _fixture("gauss_4x11")
         logs = []
-        _lambdaF_loop(frame, logs)
+        _a0_loop(frame, CONFIGS[0], logs)
         assert any(40 in log for log in logs)
         _assert_same_as_loops(frame, CONFIGS[0])
 
     def test_pass_inside_a_later_speculative_block(self):
-        frame = Frame(np.random.default_rng(0).standard_normal((3, 5)))
+        frame = Frame(np.random.default_rng(1).standard_normal((3, 5)))
         logs = []
-        _lambdaF_loop(frame, logs)
+        _a0_loop(frame, CONFIGS[0], logs)
         assert _passes_inside_later_blocks(logs) > 0
         _assert_same_as_loops(frame, CONFIGS[0])
 
@@ -300,15 +311,15 @@ class TestChunkedStarts:
 
 def _polished_starts(monkeypatch):
     """Spy on a0's polish: the list it returns gets the number of live
-    starts at the start of each `_sphere_descent` call."""
+    starts at the start of each `_a0_polish` call."""
     counts = []
-    descent = injectivity._sphere_descent
+    polish = injectivity._a0_polish
 
-    def spy(f, grad, xs, vals, extras, live, *args, **kwargs):
+    def spy(mat, xs, vals, us, live, max_iters):
         counts.append(int(live.sum()))
-        return descent(f, grad, xs, vals, extras, live, *args, **kwargs)
+        return polish(mat, xs, vals, us, live, max_iters)
 
-    monkeypatch.setattr(injectivity, "_sphere_descent", spy)
+    monkeypatch.setattr(injectivity, "_a0_polish", spy)
     return counts
 
 

@@ -1,10 +1,10 @@
-"""Print a0 over a fixed list of frames.
+"""Print a0 and Lambda_F over a fixed list of frames.
 
-Per frame one line is printed: its name, `repr` of a0, `a0_scale` and the
-`a0_is_positive` verdict.  Two runs, one per source tree, and a `diff` of
-their output show which a0 values a change moved, by how much, and
-whether any verdict flipped.  Standard library and phasestab (with the
-numpy it needs) only.
+Per frame one line is printed: its name, `repr` of a0, of Lambda_F and of
+`a0_scale`, and the `a0_is_positive` verdict.  Two runs, one per source
+tree, and a `diff` of their output show which a0 and Lambda_F values a
+change moved, by how much, and whether any verdict flipped.  Standard
+library and phasestab (with the numpy it needs) only.
 
     python tools/a0_digest.py [SRC_DIR]
 
@@ -59,11 +59,12 @@ def frames():
 
 
 def line(name, frame, cfg) -> str:
-    from phasestab import a0, a0_scale
+    from phasestab import a0, a0_scale, lambdaF
     from phasestab.injectivity import a0_is_positive
 
     val = a0(frame, cfg)[0]
-    return f"{name}: a0={val!r} a0_scale={a0_scale(frame)!r} positive={a0_is_positive(frame, val)}"
+    return (f"{name}: a0={val!r} lambdaF={lambdaF(frame)[0]!r} a0_scale={a0_scale(frame)!r} "
+            f"positive={a0_is_positive(frame, val)}")
 
 
 def main(argv: list[str]) -> int:

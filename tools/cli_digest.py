@@ -58,6 +58,7 @@ RECIPES = [
     "certify --fixture mb3 --out {tmp}",  # an output path that is a directory
     "constants --fixture mb3 --subset-budget 0",
     "random-study --study minimal --n-list 3,x --trials 1",
+    "random-study --study redundancy --n-list 3 --trials 1 --r0 inf",
     "crlb --fixture mb3 --x=0.6,0.8 --sigma 0",
     "simulate --fixture mb3 --x=0.6,0.8 --sigma -1 --trials 5",
     "simulate --fixture mb3 --x=0.6,0.8 --sigma 0.1 --trials 0",

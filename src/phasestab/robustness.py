@@ -50,7 +50,8 @@ DEFAULT_SAMPLE_BUDGET = 512
 LAMBDA_RESTARTS = 32           # seeded random starts of the Lambda_F power iteration
 LAMBDA_MAX_ITERS = 1000        # rounds per start; a start also stops at its first
                                # round whose quartic sum does not rise
-QEPS_REFINE_ROUNDS = 60        # hill-climb rounds on the winning direction
+QEPS_REFINE_ROUNDS = 60        # hill-climb rounds on the winning direction, stacked:
+                               # one line search per accepted step (`_hill_climb`)
 
 
 @dataclass
@@ -484,6 +485,14 @@ def _structured_directions(frame: Frame, analysis: FrameAnalysis) -> list[np.nda
     return dirs
 
 
+def _feasible(mat: np.ndarray, x: np.ndarray, ys: np.ndarray, eps: float) -> np.ndarray:
+    """||alpha(x) - alpha(y)|| <= eps per row y of ys: the one feasibility
+    test of every Q_eps witness, with one matrix-vector product and one dot
+    product per row, stacked."""
+    diff = np.abs(np.matmul(mat.T, ys[:, :, None]))[:, :, 0] - np.abs(mat.T @ x)
+    return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]))[:, 0, 0] <= eps
+
+
 def _line_maxima(
     frame: Frame, x: np.ndarray, dirs: np.ndarray, eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -495,12 +504,15 @@ def _line_maxima(
     coefficient ||e||^2 > 0 on a spanning frame: past t_k the term (e_k t)^2
     becomes (e_k t + 2 c_k)^2.  The roots of g = eps^2 bound the feasible
     intervals, and d(t) = min(t, ||2x + t u||) peaks at an interval end or at
-    t = -||x||^2 / <x, u>.  Candidates must pass the recheck's arithmetic; an
-    end that fails by rounding steps into its interval by 1, 2, 4, ... ulps
-    of |t| + ||x|| until it passes or leaves the interval.
+    t = -||x||^2 / <x, u>.  Candidates must pass `_feasible`; an end that
+    fails by rounding steps into its interval by 1, 2, 4, ... ulps of
+    |t| + ||x|| until it passes or leaves the interval.
     """
     mat = frame.matrix
-    c, e = mat.T @ x, dirs @ mat
+    # every product with a row of dirs is taken within that row (a stacked
+    # matrix-vector product, one dot product per row), so a row gives the
+    # same bits in any stack
+    c, e = mat.T @ x, np.matmul(mat.T, dirs[:, :, None])[:, :, 0]
     k, m = e.shape
     breaks = np.divide(-c, e, out=np.full_like(e, np.inf), where=c * e < 0)
     order = np.argsort(breaks, axis=1)
@@ -515,20 +527,16 @@ def _line_maxima(
     gmin = np.sum(resid * resid, axis=2)  # lowest value per piece; C - B^2/4A would cancel
     half = np.sqrt(np.where(gmin <= eps * eps, (eps * eps - gmin) / a, np.nan))
     lo, hi = np.maximum(t0 - half, edges[:, :-1]), np.minimum(t0 + half, edges[:, 1:])
-    xu = (dirs @ x)[:, None]
+    xu = np.vecdot(dirs, x)[:, None]
     tc = np.divide(-np.dot(x, x), xu, out=np.full_like(xu, np.nan), where=xu < 0)
 
     ts, lo, hi = np.hstack([lo, hi, tc]), np.hstack([lo, lo, tc]), np.hstack([hi, hi, tc])
     rows, cols = np.nonzero(lo <= hi)
     side = np.repeat([1.0, -1.0, 0.0], [m + 1, m + 1, 1])[cols]
-    t, lo, hi, ax = ts[rows, cols], lo[rows, cols], hi[rows, cols], np.abs(c)
+    t, lo, hi = ts[rows, cols], lo[rows, cols], hi[rows, cols]
 
     def passes(idx: np.ndarray) -> np.ndarray:
-        # analysis_map and the norm of the recheck: per row one matrix-vector
-        # product and one dot product, stacked
-        ys = x + t[idx, None] * dirs[rows[idx]]
-        diff = np.abs(np.matmul(mat.T, ys[:, :, None]))[:, :, 0] - ax
-        return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]))[:, 0, 0] <= eps
+        return _feasible(mat, x, x + t[idx, None] * dirs[rows[idx]], eps)
 
     ok = passes(np.arange(t.size))
     step = np.ldexp(np.abs(t) + np.linalg.norm(x), -52)
@@ -546,6 +554,34 @@ def _line_maxima(
     return best[np.arange(k), j], ts[np.arange(k), j]
 
 
+def _hill_climb(
+    frame: Frame, x: np.ndarray, eps: float, best_d: float, best_y: np.ndarray, rng
+) -> tuple[float, np.ndarray]:
+    """QEPS_REFINE_ROUNDS rounds around the line maximum (best_d, best_y):
+    round r takes u + step z_r, z_r the r-th normal draw of rng, as the new
+    direction u where its line maximum rises above best_d, else shrinks step
+    (from 0.5) by 0.9.  One `_line_maxima` call takes every remaining round
+    as if each failed, round r + j at the step after j shrinks; the first
+    that rises is kept and the next call starts after it.  Its rows are
+    lane-local, so this equals the one-call-per-round climb bit for bit."""
+    zs = rng.standard_normal((QEPS_REFINE_ROUNDS, frame.dim))
+    u = (best_y - x) / np.linalg.norm(best_y - x)
+    step, r = 0.5, 0
+    while r < QEPS_REFINE_ROUNDS:
+        # cumprod multiplies in order: the bits of repeated step *= 0.9
+        steps = np.cumprod(np.r_[step, np.full(QEPS_REFINE_ROUNDS - r - 1, 0.9)])
+        cands = u + steps[:, None] * zs[r:]
+        cands /= np.sqrt(np.vecdot(cands, cands))[:, None]
+        ds, ts = _line_maxima(frame, x, cands, eps)
+        rises = np.flatnonzero(ds > best_d)
+        if not rises.size:
+            break
+        j = rises[0]
+        best_d, best_y, u = float(ds[j]), x + ts[j] * cands[j], cands[j]
+        step, r = steps[j], r + j + 1
+    return best_d, best_y
+
+
 def q_eps_estimate(
     frame: Frame,
     x: np.ndarray,
@@ -556,9 +592,10 @@ def q_eps_estimate(
     """Lower bound on Q_eps(x): exact line maxima (`_line_maxima`) along the
     structured directions (lowest-eigenvector and kernel directions of the
     extremal constructions, both signs) and cfg.restarts seeded ones, then
-    QEPS_REFINE_ROUNDS hill-climb steps around the winner.  Each line is
-    exact; the supremum over directions is not, so Q_estimate is a lower
-    bound, and every witness passes the feasibility recheck.  Delta, omega
+    QEPS_REFINE_ROUNDS hill-climb rounds around the winner (`_hill_climb`,
+    stacked, equal bit for bit to one call per round).  Each line is exact;
+    the supremum over directions is not, so Q_estimate is a lower bound, and
+    every witness passes `_feasible`, the test the lines apply.  Delta, omega
     and tau come from `analysis`; the bracket is `_brackets`', and
     Q_theory = 1/sqrt(A) is reported only where it is bounded and
     eps < delta_x.  Frames whose columns do not span R^n raise
@@ -583,22 +620,11 @@ def q_eps_estimate(
     i = int(np.argmax(ds))  # the first largest value
     best_d, best_y = float(ds[i]), x + ts[i] * dirs[i]
 
-    # Hill-climb on the winning direction.
     if best_d > 0:
-        u = (best_y - x) / np.linalg.norm(best_y - x)
-        step = 0.5
-        for _ in range(QEPS_REFINE_ROUNDS):
-            cand = u + step * rng.standard_normal(frame.dim)
-            cand /= np.linalg.norm(cand)
-            (d,), (t,) = _line_maxima(frame, x, cand[None], eps)
-            if d > best_d:
-                best_d, best_y, u = float(d), x + t * cand, cand
-            else:
-                step *= 0.9
+        best_d, best_y = _hill_climb(frame, x, eps, best_d, best_y, rng)
 
     # Feasibility recheck (defensive; line candidates were already checked).
-    gap = float(np.linalg.norm(analysis_map(frame, x) - analysis_map(frame, best_y)))
-    if gap > eps * (1 + 1e-12):
+    if not _feasible(frame.matrix, x, best_y[None], eps)[0]:
         best_y, best_d = x.copy(), 0.0
 
     lower, upper = _brackets(eps, analysis)

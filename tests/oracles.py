@@ -222,3 +222,23 @@ def lbfgs_least_squares(F, y, starts):
         if res.fun < best_val:
             best_x, best_val = res.x, float(res.fun)
     return best_x, best_val
+
+
+def hill_climb_sequential(frame, x, eps, best_d, best_y, rng):
+    """`robustness._hill_climb` as one `_line_maxima` call per round, in
+    order: round r draws its normal z_r from rng, tries the unit direction
+    along u + step z_r, keeps it where its line maximum rises above best_d,
+    else shrinks step by 0.9.  Returns (best_d, best_y)."""
+    from phasestab.robustness import QEPS_REFINE_ROUNDS, _line_maxima
+
+    u = (best_y - x) / np.linalg.norm(best_y - x)
+    step = 0.5
+    for _ in range(QEPS_REFINE_ROUNDS):
+        cand = u + step * rng.standard_normal(frame.dim)
+        cand /= np.linalg.norm(cand)
+        (d,), (t,) = _line_maxima(frame, x, cand[None], eps)
+        if d > best_d:
+            best_d, best_y, u = float(d), x + t * cand, cand
+        else:
+            step *= 0.9
+    return best_d, best_y

@@ -627,6 +627,12 @@ crlb --fixture gauss_4x11 --x=0.5,0.5,0.5,0.5 --sigma 0.1: exit=0 stdout=47ab0d7
 stability --fixture mb3 --x=0.6,0.8 --eps 0.07: exit=0 stdout=891c28dc941392604348e6153787845b4efc8af758dcab73487253978e0385ba stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 stability --fixture gauss_4x11 --x=0.5,0.5,0.5,0.5 --eps 0.07: exit=0 stdout=2368084f3bd7e0a074f46f6c3a8cabd4072bea328928f0e2b9f33a74edb23b0b stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 stability --fixture basis2 --x=0.6,0.8 --eps 0.07: exit=0 stdout=93a3b8d0386be35bdd080914a1e2b79e54fc661045bb9dd898d2802f209d3c31 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+stability --fixture basis3 --x=0.6,0.48,0.64 --eps 0.07: exit=0 stdout=91f2b2c4336f3419fd372017aa33c4e11ca26c0e6d001a815c325976a4d8c9e4 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+stability --fixture repeated --x=0.6,0.8 --eps 0.07: exit=0 stdout=18f338168ac75f9be4b99ad578dfded16cf9c8854512990063e428984d32c54a stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+stability --fixture mb3 --x=0.6,0.8 --eps 1e-9: exit=0 stdout=0869c7562e93e4bb497c22ea2879c7ceda92f8379c7f810884f916dbcc2c9b6c stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+stability --fixture mb3 --x=0.6,0.8 --eps 10: exit=0 stdout=568a2642d3806013eb76038e3375109e8b1fd6453387065096b7b53631d40259 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+stability --fixture gauss_4x11 --x=0.5,0.5,0.5,0.5 --eps 1e-9: exit=0 stdout=701728106c8e040b811f62267068b6bd3951125ccf85b46dcbbd6d6d0f4d8ec8 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+stability --fixture gauss_4x11 --x=0.5,0.5,0.5,0.5 --eps 10: exit=0 stdout=96b41aaa9a4a4cb1dea8c86933b1efd5c4d6a7c016887be8c57e96591c1d6b1e stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 certify --fixture mb3 --out {tmp}/cert.json: exit=0 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 cert.json=156c565bede0ebfc89c60bdbc59d593061f43a7725f8166ae6840ef1cdefcb0a
 simulate --fixture mb3 --x=0.6,0.8 --sigma 0.01 --trials 20: exit=0 stdout=9263e4bdce0ec4c2a1eba12f3d77c8f4fa41b639d9bec940b8fd51a6e1ca6954 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
 simulate --fixture mb3 --x=0.6,0.8 --sigma 0.01 --trials 20 --out {tmp}/sim.json --csv-out {tmp}/sim.csv: exit=0 stdout=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 stderr=e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 sim.csv=222b14fae078a87486d536306757ef3c0d1c9934c040bb18db42b173631a4afe sim.json=6eaafc81a2c30a18dcc958cd0b1f8cd2126ce30054f0b79ea95ca9efefc48b9a

@@ -39,7 +39,7 @@ from phasestab import (
     v_ratios_batch,
     worst_case_witness,
 )
-from phasestab import injectivity, robustness, subsets
+from phasestab import cli, injectivity, robustness, subsets
 from phasestab.robustness import _line_maxima
 
 MB3 = mercedes_benz_frame()
@@ -60,7 +60,7 @@ def fixture(name):
 
 
 def gap(frame, x, y):
-    """||alpha(x) - alpha(y)|| in the arithmetic of q_eps_estimate's recheck."""
+    """||alpha(x) - alpha(y)|| by `analysis_map`, independent of `robustness._feasible`."""
     return float(np.linalg.norm(analysis_map(frame, x) - analysis_map(frame, y)))
 
 
@@ -356,6 +356,49 @@ class TestQeps:
         assert cases == 100
 
 
+class TestHillClimb:
+    """The stacked climb of `robustness._hill_climb` against the one call
+    per round of `oracles.hill_climb_sequential`."""
+
+    @staticmethod
+    def cases():
+        for name in ("mb3", "basis2", "basis3", "repeated", "gauss_4x11"):
+            fr = fixture(name)
+            for eps in (1e-9, 0.07, 0.3, 10.0):
+                yield fr, np.ones(fr.dim), eps, QepsConfig()
+        rng = np.random.default_rng(27)
+        for case in range(24):
+            n = 2 + case % 4
+            mat = rng.standard_normal((n, int(rng.integers(2 * n - 1, 2 * n + 2))))
+            if case % 3 == 1:
+                mat[:, -1] = mat[:, 0]  # a duplicated column
+            eps = (1e-9, 10.0, *rng.uniform(0.01, 0.5, 2))[case % 4]
+            yield Frame(mat), rng.standard_normal(n), eps, QepsConfig(restarts=32, seed=case)
+
+    def test_equals_one_call_per_round(self, monkeypatch):
+        stacked = [q_eps_estimate(*case) for case in self.cases()]
+        monkeypatch.setattr(robustness, "_hill_climb", oracles.hill_climb_sequential)
+        for rep, case in zip(stacked, self.cases(), strict=True):
+            seq = q_eps_estimate(*case)
+            assert (rep.Q_estimate, rep.bracket) == (seq.Q_estimate, seq.bracket)
+            for w, w_seq in zip(rep.witness, seq.witness, strict=True):
+                assert np.array_equal(w, w_seq)
+
+    def test_stability_makes_at_most_four_line_calls(self, monkeypatch, capsys):
+        # one call for the initial directions, then one per accepted step and
+        # one that finds no rise
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2].shape[0])
+            return _line_maxima(*args)
+
+        monkeypatch.setattr(robustness, "_line_maxima", counted)
+        assert cli.main(["stability", "--fixture", "mb3", "--x=0.6,0.8", "--eps", "0.07"]) == 0
+        capsys.readouterr()
+        assert 2 <= len(calls) <= 4 and calls[1] == robustness.QEPS_REFINE_ROUNDS
+
+
 class TestLineMaxima:
     """Exact line maxima against the dense grid of `oracles.line_max_grid`."""
 
@@ -387,6 +430,27 @@ class TestLineMaxima:
                 assert d >= oracles.line_max_grid(fr.matrix, x, u, eps) * (1 - 1e-9)
                 checked += 1
         assert checked == 12 * 6 + 3
+
+    def test_stacked_rows_equal_rows_alone(self):
+        # every product is taken within its row, so a row of a stacked call
+        # gives the bits it gives alone: the hill climb may stack its rounds
+        rng = np.random.default_rng(26)
+        rows = 0
+        for case in range(40):
+            n = 2 + case % 4
+            mat = rng.standard_normal((n, int(rng.integers(n + 1, 2 * n + 3))))
+            if case % 3 == 1:
+                mat[:, -1] = mat[:, 0]  # a duplicated column
+            fr, x = Frame(mat), rng.standard_normal(n)
+            us = rng.standard_normal((60, n))
+            us /= np.linalg.norm(us, axis=1, keepdims=True)
+            eps = (1e-9, 0.07, 0.3, 10.0)[case % 4]
+            ds, ts = _line_maxima(fr, x, us, eps)
+            for u, d, t in zip(us, ds, ts):
+                (d1,), (t1,) = _line_maxima(fr, x, u[None], eps)
+                assert (d1, t1) == (d, t)
+                rows += 1
+        assert rows == 2400
 
     @pytest.mark.parametrize("name", ["mb3", "gauss_4x11"])
     @pytest.mark.parametrize("eps", [1e-9, 1e-12])

@@ -34,7 +34,9 @@ RECIPES = [
     *(f"{cmd} --fixture {name}" for name in X for cmd in ("certify", "constants")),
     *(f"crlb --fixture {name} --x={x} --sigma 0.1" for name, x in X.items()),
     *(f"stability --fixture {name} --x={X[name]} --eps 0.07"
-      for name in ("mb3", "gauss_4x11", "basis2")),
+      for name in ("mb3", "gauss_4x11", "basis2", "basis3", "repeated")),
+    *(f"stability --fixture {name} --x={X[name]} --eps {eps}"
+      for name in ("mb3", "gauss_4x11") for eps in ("1e-9", "10")),
     "certify --fixture mb3 --out {tmp}/cert.json",
     SIMULATE,
     SIMULATE + " --out {tmp}/sim.json --csv-out {tmp}/sim.csv",

@@ -22,7 +22,7 @@ call on that row bit for bit, whatever the other rows and their number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -86,7 +86,6 @@ def simulate_measurements(
 ) -> np.ndarray:
     """y = alpha^2(x) + nu from the (seed, trial) Philox stream; noise=None is
     the noiseless variant."""
-    x = _check_vector(frame, x)
     y = analysis_map_sq(frame, x)
     if noise is None:
         return y
@@ -466,25 +465,25 @@ def mse_monte_carlo(
     sigma: float,
     trials: int,
     seed: int,
-    ls_cfg: LSConfig | None = None,
+    restarts: int = 4,
 ) -> EstimationRun:
     """Monte Carlo MSE of the least-squares oracle against the CRLB trace.
 
     Each trial draws its noise from the (seed, trial) Philox stream, and all
-    trials go to one stacked `ls_estimate` call.  Trial i's random starts
-    come from `seed` (the row seeds of `ls_estimate` with cfg.seed = seed);
-    ls_cfg.seed is ignored, only ls_cfg.restarts counts.  The MSE uses the
-    sign-invariant distance d(x_hat, x)^2.
+    trials go to one stacked `ls_estimate` call with
+    LSConfig(restarts, seed): trial i's random starts come from the row
+    seeds of `ls_estimate`.  The MSE uses the sign-invariant distance
+    d(x_hat, x)^2.
     """
     x = _check_vector(frame, x)
     _check_count("trials", trials, 1)
     noise = NoiseModel(sigma)
-    ls_cfg = ls_cfg or LSConfig(restarts=4)
+    ls_cfg = LSConfig(restarts, seed)
     crlb_trace = float(np.trace(_crlb_matrix(frame, x, sigma)[1]))
     x_canon = canonicalize(x)
 
     y = np.array([simulate_measurements(frame, x, noise, seed, trial) for trial in range(trials)])
-    estimates = ls_estimate(frame, y, replace(ls_cfg, seed=seed))
+    estimates = ls_estimate(frame, y, ls_cfg)
     d = np.sqrt(np.minimum(
         np.sum((estimates - x) ** 2, axis=-1), np.sum((estimates + x) ** 2, axis=-1)
     ))

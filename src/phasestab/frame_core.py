@@ -21,8 +21,11 @@ from .errors import (
     ValidationError,
 )
 
-# Relative threshold for rank decisions: singular values > RANK_RTOL * sigma_1
-# count toward the rank.
+# The rank floor, relative to the frame's own sigma_1: singular values of F
+# above RANK_RTOL * sigma_1(F) count toward its rank, and a column subset F_S
+# spans R^n when sigma_n(F_S) exceeds that same floor (`subsets`).  A floor
+# set by the whole frame keeps the rule monotone: a set that spans keeps
+# spanning as columns join it.
 RANK_RTOL = 1e-10
 
 # Eigenvalues of PSD Gram matrices in [-EIG_CLAMP_RTOL * ||M||, 0) are
@@ -213,6 +216,8 @@ def _check_vector(frame: Frame, x: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"vector of shape {x.shape} does not match frame dimension {frame.dim}"
         )
+    if not np.isfinite(x).all():
+        raise ValidationError(f"vector has non-finite entries: {x.tolist()}")
     return x
 
 

@@ -13,15 +13,17 @@ membership rows, with one batched LAPACK call per chunk:
   Delta, on the side Grams G, where sigma_n(G) = lambda_min(G).  It
   decides what it can; the SVD and eigvalsh run only on the rows it cannot
   decide, and every reported value comes from them.
-- Rank verdict: F_S spans R^n when sigma_n(F_S) > RANK_RTOL * sigma_1(F_S),
-  the rule of `frame_core.matrix_rank`.  A square block with
-  L > 2 * RANK_RTOL * ||F_S||_F passes the screen: sigma_1 <= ||F_S||_F,
-  and the factor 2 spares RANK_RTOL * ||F_S||_F for the SVD's rounding of
-  about n * eps * ||F_S||, so the SVD rule would hold too.  Every other
-  block, and every block of more than n columns, is decided by a batched
-  SVD of the n x |S| blocks.  Rank is never read off Gram eigenvalues:
-  their rounding noise is about eps * lambda_max, far above
-  RANK_RTOL**2 * lambda_max.
+- Rank verdict: F_S spans R^n when sigma_n(F_S) > RANK_RTOL * sigma_1(F),
+  a floor set by the whole frame: `frame_core.matrix_rank` applies it to F
+  itself.  Each kernel takes sigma_1(F) once (`_floor`).  The rule is
+  monotone, since sigma_n(F_S) <= sigma_n(F_U) whenever S is inside U, so
+  a set that spans keeps spanning as columns join it, and F spans when any
+  subset does.  A square block with L > 2 * floor passes the screen: the
+  SVD's rounding of sigma_n(F_S), about n * eps * ||F||, is far below the
+  floor, so the SVD rule would hold too.  Every other block, and every
+  block of more than n columns, is decided by a batched SVD of the
+  n x |S| blocks.  Rank is never read off Gram eigenvalues: their rounding
+  noise is about eps * lambda_max, far above RANK_RTOL**2 * lambda_max.
 - Spectrum: tau takes sigma_n(F_S) from that same SVD, accurate to about
   eps * ||F||; once it has an incumbent, rows with L above it skip the SVD,
   since their SVD sigma_n could not be lower.  omega and Delta take
@@ -46,9 +48,17 @@ membership rows, with one batched LAPACK call per chunk:
 - Kernel vectors (a0's starts, Q_eps's directions): the last right singular
   vector of F_S^T from its full SVD.
 - Hyperplane sets: H_T is an (n-1)-subset T with every column j whose
-  n-subset T + j fails the rank rule.  If the columns span R^n, every set
-  that does not span lies in some H_T, so the complement property and exact
-  omega need only the sets H_T^c, never the 2^m subsets.  One rank pass
+  n-subset T + j fails the rank rule.  The rule is monotone, so a set that
+  does not span lies in H_T for each (n-1)-subset T inside it (every such
+  T + j lies in the set and fails with it), and a set whose complement
+  does not span holds some H_T^c.  So the complement property and exact
+  omega need only the sets H_T^c, never the 2^m subsets.  In exact rank H_T
+  is the hyperplane span(F_T) and fails too.  Under the floor, columns that
+  each fail with T can pass it together, as where column norms differ by
+  orders of magnitude: then that H_T^c has a complement that
+  spans, and exact omega, the least sigma_n over the H_T^c, can fall below
+  omega.  The complement check tests both sides of each row, so its
+  witnesses always hold.  One rank pass
   over the n-subsets (`_deficient`) serves full spark, which stops at its
   first deficient row, and the hyperplane sets, which keep its verdicts as
   one bit per n-subset at the subset's colex rank.
@@ -152,15 +162,16 @@ def _by_rows(member: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield pos, np.nonzero(member[pos])[1].reshape(len(pos), int(k))
 
 
-def _rank_rule(svals: np.ndarray, n: int) -> np.ndarray:
-    """The rank rule on stacked singular values: sigma_n > RANK_RTOL * sigma_1."""
-    return svals[:, n - 1] > RANK_RTOL * svals[:, 0]
+def _floor(mat: np.ndarray) -> float:
+    """The rank floor RANK_RTOL * sigma_1(F): a column set spans R^n when
+    its sigma_n exceeds it, the rule of `frame_core.matrix_rank`."""
+    return RANK_RTOL * float(np.linalg.norm(mat, 2))
 
 
-def _det_lower(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, ||A||_F^2) per n x n block A of a stack, with
-    0 <= lower <= sigma_n(A), and below the sigma_n that an SVD of A returns
-    (the lambda_min that eigvalsh returns, for a Gram A).
+def _det_lower(blocks: np.ndarray) -> np.ndarray:
+    """A bound 0 <= lower <= sigma_n(A) per n x n block A of a stack, below
+    the sigma_n that an SVD of A returns (the lambda_min that eigvalsh
+    returns, for a Gram A).
 
     Hong-Pan (Linear Algebra Appl. 172, 1992):
     sigma_n(A) >= |det A| ((n-1) / ||A||_F^2)^((n-1)/2), with
@@ -183,30 +194,31 @@ def _det_lower(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         log_hp = logdet + 0.5 * (n - 1) * (np.log(max(n - 1, 1)) - np.log(fro2))
         lower = np.exp(log_hp) - (n**4 * 2.0**n + 1024 * n * n) * _EPS * np.sqrt(fro2)
     usable = np.isfinite(lower) & (fro2 >= np.finfo(float).tiny)
-    return np.where(usable, np.maximum(lower, 0.0), 0.0), fro2
+    return np.where(usable, np.maximum(lower, 0.0), 0.0)
 
 
-def full_rank(mat: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Rank verdict per row of idx: True where F_S spans R^n.  Square blocks
-    go through the determinant screen first; the SVD decides the rest."""
+def full_rank(mat: np.ndarray, idx: np.ndarray, floor: float) -> np.ndarray:
+    """Rank verdict per row of idx: True where sigma_n(F_S) > floor
+    (`_floor`).  A square block whose determinant bound exceeds 2 * floor
+    passes, since the SVD's rounding is far below the floor; the SVD decides
+    every other row."""
     n = mat.shape[0]
+    ok = np.zeros(len(idx), dtype=bool)
     if idx.shape[1] < n:
-        return np.zeros(len(idx), dtype=bool)
+        return ok
     blocks = _stack(mat, idx)
-    if idx.shape[1] > n:
-        return _rank_rule(np.linalg.svd(blocks, compute_uv=False), n)
-    lower, fro2 = _det_lower(blocks)
-    # sigma_1 <= ||F_S||_F, so the rule holds, with a factor 2 for SVD rounding
-    ok = lower > 2 * RANK_RTOL * np.sqrt(fro2)
-    ok[~ok] = _rank_rule(np.linalg.svd(blocks[~ok], compute_uv=False), n)
+    if idx.shape[1] == n:
+        ok = _det_lower(blocks) > 2 * floor
+    ok[~ok] = np.linalg.svd(blocks[~ok], compute_uv=False)[:, n - 1] > floor
     return ok
 
 
-def spans(mat: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """Rank verdict per membership row (the empty set does not span)."""
+def spans(mat: np.ndarray, member: np.ndarray, floor: float) -> np.ndarray:
+    """Rank verdict per membership row, against floor (`_floor`); the empty
+    set does not span."""
     out = np.zeros(len(member), dtype=bool)
     for pos, idx in _by_rows(member):
-        out[pos] = full_rank(mat, idx)
+        out[pos] = full_rank(mat, idx, floor)
     return out
 
 
@@ -279,8 +291,9 @@ def _deficient(mat: np.ndarray) -> Iterator[np.ndarray]:
     The chunks start small and double, so a reader that stops at its first
     deficient row costs little."""
     n, m = mat.shape
+    floor = _floor(mat)
     for idx in chunked(combinations(range(m), n), n, n):
-        yield idx[~full_rank(mat, idx)]
+        yield idx[~full_rank(mat, idx, floor)]
 
 
 def first_deficient(mat: np.ndarray) -> np.ndarray | None:
@@ -355,15 +368,16 @@ def first_violating_partition(mat: np.ndarray) -> int | None:
     H_T^c, inside S, does not span either.  All rows are read; only those
     below the least violation found so far are rank-checked."""
     m = mat.shape[1]
+    floor = _floor(mat)
     none = least = 1 << m  # above every bitmask
     for member in hyperplane_complements(mat):
         member = member[~member[:, m - 1]]
         bits = _row_bits(member)
         below = bits < least
         member, bits = member[below], bits[below]
-        bad = ~spans(mat, member)
+        bad = ~spans(mat, member, floor)
         # only a side that does not span needs its complement checked
-        bad[bad] = ~spans(mat, ~member[bad])
+        bad[bad] = ~spans(mat, ~member[bad], floor)
         if bad.any():
             least = min(least, int(bits[bad].min()))
     return None if least == none else least
@@ -373,15 +387,16 @@ def tau(mat: np.ndarray) -> float:
     """min sigma_n(F_S) over the n-subsets that span R^n (inf when none do),
     with sigma_n read off the SVD that gives the rank verdict."""
     n, m = mat.shape
+    floor = _floor(mat)
     best = np.inf
     for idx in chunked(combinations(range(m), n), n, n):
         blocks = _stack(mat, idx)
         if best < np.inf:  # a row whose screen bound exceeds the incumbent cannot beat it
-            blocks = blocks[_det_lower(blocks)[0] <= best]
-        svals = np.linalg.svd(blocks, compute_uv=False)
-        ok = _rank_rule(svals, n)
-        if ok.any():
-            best = min(best, float(svals[ok, n - 1].min()))
+            blocks = blocks[_det_lower(blocks) <= best]
+        low = np.linalg.svd(blocks, compute_uv=False)[:, n - 1]
+        low = low[low > floor]
+        if low.size:
+            best = min(best, float(low.min()))
     return best
 
 
@@ -407,7 +422,7 @@ def omega_min(mat: np.ndarray, chunks: Iterable[np.ndarray]) -> tuple[float, int
         for pos, idx in _by_rows(member):
             blocks = _stack(mat, idx)
             if best < np.inf and idx.shape[1] == n:
-                lower = _det_lower(blocks)[0]
+                lower = _det_lower(blocks)
                 need = lower * lower <= (best * best + gram_allowance(blocks)) * (1 + 8 * _EPS)
                 pos, blocks = pos[need], blocks[need]
             values[pos] = np.sqrt(_gram_lambda_min(blocks))
@@ -500,7 +515,7 @@ def delta_exact(mat: np.ndarray) -> tuple[float, int]:
             return
         out = lows.reshape(-1)
         if limit < np.inf and len(rows) >= _SCREEN_RATIO and _SCREEN_RATIO * decided >= tried:
-            out[rows] = _det_lower(flat[rows])[0]
+            out[rows] = _det_lower(flat[rows])
             left = rows[bound(rows // 2) <= limit]
             tried += len(rows)
             decided += len(rows) - len(left)

@@ -69,13 +69,14 @@ def subset_sigma_n(F, idx):
 
 
 def spans_svd(F, idx, rtol=1e-10):
-    """Whether the chosen columns span R^n: sigma_n > rtol * sigma_1 by SVD,
-    the relative rank rule of the library (the empty set never spans)."""
+    """Whether the chosen columns span R^n: sigma_n(F_S) > rtol * sigma_1(F)
+    by SVD, the rank rule of the library, with its floor set by the whole
+    frame (the empty set never spans)."""
     n = F.shape[0]
     if len(idx) < n:
         return False
     s = np.linalg.svd(F[:, list(idx)], compute_uv=False)
-    return bool(s[n - 1] > rtol * s[0])
+    return bool(s[n - 1] > rtol * np.linalg.svd(F, compute_uv=False)[0])
 
 
 def gram_tol(F, value, terms=1):
@@ -88,16 +89,14 @@ def gram_tol(F, value, terms=1):
 
 def omega_hyperplanes_svd(F, rtol=1e-10):
     """omega of spanning columns over the hyperplanes: for each (n-1)-subset
-    T of rank n-1, sigma_n of the columns off span F_T (those j with T + j
-    spanning), all by SVD."""
+    T with some T + j spanning, sigma_n of the columns off span F_T (those j
+    with T + j spanning), all by SVD."""
     n, m = F.shape
     best = math.inf
     for T in itertools.combinations(range(m), n - 1):
-        s = np.linalg.svd(F[:, list(T)], compute_uv=False)
-        if n > 1 and not s[n - 2] > rtol * s[0]:
-            continue
         off = [j for j in range(m) if j not in T and spans_svd(F, T + (j,), rtol)]
-        best = min(best, subset_sigma_n(F, off))
+        if off:
+            best = min(best, subset_sigma_n(F, off))
     return best
 
 

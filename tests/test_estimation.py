@@ -436,8 +436,7 @@ class TestBatched:
             monkeypatch.setattr(estimation, name, counting)
         for restarts in (4, 7):
             calls.update(ls_estimate=0, minimize=0)
-            run = mse_monte_carlo(MB3, np.array([0.6, 0.8]), 0.05, trials, seed=3,
-                                  ls_cfg=LSConfig(restarts=restarts))
+            run = mse_monte_carlo(MB3, np.array([0.6, 0.8]), 0.05, trials, seed=3, restarts=restarts)
             assert len(run.per_trial) == trials
             assert calls == {"ls_estimate": 1, "minimize": restarts}
 

@@ -32,7 +32,7 @@ from phasestab import (
     standard_basis_frame,
     sym_eig,
 )
-from phasestab import frame_core, injectivity, robustness, subsets
+from phasestab import estimation, frame_core, injectivity, robustness, subsets
 
 RNG = np.random.default_rng(7)
 
@@ -210,6 +210,25 @@ class TestMaps:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             analysis_map(mercedes_benz_frame(), np.ones(3))
+
+    @pytest.mark.parametrize("x", [[np.nan, 1.0], [np.inf, 1.0], [0.6, -np.inf]])
+    @pytest.mark.parametrize("entry", [
+        lambda fr, x: analysis_map(fr, x),
+        lambda fr, x: analysis_map_sq(fr, x),
+        lambda fr, x: injectivity.r_matrix(fr, x),
+        lambda fr, x: estimation.fisher_info(fr, x, 0.1),
+        lambda fr, x: estimation.simulate_measurements(fr, x, estimation.NoiseModel(0.1), 0),
+        lambda fr, x: estimation.crlb(fr, x, 0.1),
+        lambda fr, x: estimation.mse_monte_carlo(fr, x, 0.1, 3, 0),
+        lambda fr, x: robustness.eps0(fr, x),
+        lambda fr, x: robustness.delta_x(fr, x),
+        lambda fr, x: robustness.q_eps_estimate(fr, x, 0.1),
+    ], ids=["analysis_map", "analysis_map_sq", "r_matrix", "fisher_info",
+            "simulate_measurements", "crlb", "mse_monte_carlo", "eps0", "delta_x",
+            "q_eps_estimate"])
+    def test_non_finite_vector(self, entry, x):
+        with pytest.raises(ValidationError, match="non-finite"):
+            entry(mercedes_benz_frame(), np.array(x))
 
 
 class TestDistances:

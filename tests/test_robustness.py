@@ -13,6 +13,7 @@ from phasestab import (
     FrameAnalysis,
     NotAFrameError,
     QepsConfig,
+    SubsetMask,
     ValidationError,
     VerdictConflictError,
     analysis_map,
@@ -22,6 +23,7 @@ from phasestab import (
     dist_d,
     eps0,
     frame_bounds,
+    full_spark,
     gaussian_frame,
     lambdaF,
     lipschitz_constants,
@@ -134,11 +136,17 @@ class TestSubsetConstants:
         with pytest.raises(NotAFrameError):
             tau(Frame(np.array([[1.0, 2.0], [0.0, 0.0]])))
 
-    def test_tau_finds_the_spanning_pair(self):
-        # rank 1 under the relative rank rule, yet columns {1, 2} span
+    def test_one_rank_under_a_huge_column(self):
+        # sigma_1 = 1e12 sets the floor at 100: sigma_2 = 1 of F, and of
+        # the pair {1, 2}, is below it, so every rank verdict reads rank 1
         fr = Frame(np.array([[1e12, 0.0, 1.0], [0.0, 1.0, 0.0]]))
         assert fr.rank() == 1
-        assert tau(fr) == 1.0 == np.linalg.svd(fr.matrix[:, [1, 2]], compute_uv=False)[-1]
+        with pytest.raises(NotAFrameError):
+            tau(fr)
+        with pytest.raises(NotAFrameError):
+            q_eps_estimate(fr, np.array([0.6, 0.8]), 0.1)
+        assert full_spark(fr) == (False, SubsetMask(0b011, 3))
+        assert complement_property(fr) == (False, SubsetMask(0, 3))
 
     def test_tau_shares_the_full_spark_budget(self):
         # C(118, 3) = 266,916 n-subsets: under FULL_SPARK_BUDGET

@@ -20,7 +20,6 @@ from phasestab import (
     delta,
     full_spark,
     load_frame,
-    matrix_rank,
     omega,
     tau,
 )
@@ -76,6 +75,11 @@ def tie_frames(draw):
         elif kind > 1:
             mat[:, j] = rng.choice([-1.0, 1.0]) * pool[:, rng.integers(size[1])]
     return mat
+
+
+def floor(mat):
+    """The rank floor of the frame, RANK_RTOL * sigma_1(F), by SVD."""
+    return frame_core.RANK_RTOL * np.linalg.svd(mat, compute_uv=False)[0]
 
 
 def svd_tol(mat):
@@ -147,14 +151,42 @@ class TestVerdicts:
 
     @given(frames())
     @SETTINGS
-    def test_rank_rule_is_matrix_rank(self, case):
+    def test_rank_rule_is_the_frame_floor(self, case):
         _, mat = case
-        n, m = mat.shape
+        m = mat.shape[1]
         bits = np.arange(1 << m, dtype=np.int64)
-        expect = [
-            bool(b) and matrix_rank(mat[:, list(indices(int(b), m))]) == n for b in bits
-        ]
-        assert subsets.spans(mat, (bits[:, None] >> np.arange(m)) & 1 == 1).tolist() == expect
+        expect = [oracles.spans_svd(mat, indices(int(b), m)) for b in bits]
+        member = (bits[:, None] >> np.arange(m)) & 1 == 1
+        assert subsets.spans(mat, member, subsets._floor(mat)).tolist() == expect
+
+    @given(frames(scales=(-8, 8)))
+    @SETTINGS
+    def test_rank_rule_is_monotone(self, case):
+        # a set that spans keeps spanning as a column joins it, also when
+        # the columns are scaled one by one by 10^-8 to 10^8
+        _, mat = case
+        m = mat.shape[1]
+        bits = np.arange(1 << m, dtype=np.int64)
+        member = (bits[:, None] >> np.arange(m)) & 1 == 1
+        ok = subsets.spans(mat, member, subsets._floor(mat))
+        for j in range(m):
+            grown = ok[bits | 1 << j]
+            assert grown[ok].all(), f"a spanning set fails once column {j} joins it"
+
+    def test_spanning_n_subsets_only_on_frames_of_rank_n(self):
+        # frames with one column scaled by 10^-8, 1 or 10^8 each, every
+        # third with its last column a copy of its first: wherever tau finds
+        # a spanning n-subset, F itself has rank n
+        rng = np.random.default_rng(36)
+        for i in range(750):
+            n = int(rng.integers(2, 5))
+            m = int(rng.integers(n + 1, 12))
+            mat = rng.standard_normal((n, m))
+            if i % 3 == 0:
+                mat[:, -1] = mat[:, 0]
+            mat = mat * 10.0 ** (8 * rng.integers(-1, 2, size=m))
+            if subsets.tau(mat) < np.inf:
+                assert Frame(mat).rank() == n, f"frame {i}"
 
 
 class TestConstants:
@@ -303,7 +335,8 @@ class TestDeterminantScreen:
         _, mat = case
         n = mat.shape[0]
         _, blocks = _square_blocks(mat)
-        lower, fro2 = subsets._det_lower(blocks)
+        lower = subsets._det_lower(blocks)
+        fro2 = np.einsum("kij,kij->k", blocks, blocks)
         svals = np.linalg.svd(blocks, compute_uv=False)
         lam = np.linalg.eigvalsh(blocks @ blocks.transpose(0, 2, 1))[:, 0]
         assert (lower >= 0).all()
@@ -317,11 +350,11 @@ class TestDeterminantScreen:
         _, mat = case
         n = mat.shape[0]
         idx, blocks = _square_blocks(mat)
-        lower, fro2 = subsets._det_lower(blocks)
-        certified = lower > 2 * frame_core.RANK_RTOL * np.sqrt(fro2)
+        certified = subsets._det_lower(blocks) > 2 * floor(mat)
         svals = np.linalg.svd(blocks, compute_uv=False)
-        assert (svals[certified, n - 1] > frame_core.RANK_RTOL * svals[certified, 0]).all()
-        assert subsets.full_rank(mat, idx).tolist() == [oracles.spans_svd(mat, S) for S in idx]
+        assert (svals[certified, n - 1] > floor(mat)).all()
+        verdicts = subsets.full_rank(mat, idx, subsets._floor(mat))
+        assert verdicts.tolist() == [oracles.spans_svd(mat, S) for S in idx]
 
     @pytest.mark.parametrize("scale", [1e160, 1e-160])
     def test_scaled_frames_fall_back_to_the_svd(self, scale):
@@ -330,9 +363,9 @@ class TestDeterminantScreen:
         mat = np.random.default_rng(160).standard_normal((3, 6)) * scale
         mat[:, 5] = -mat[:, 1]
         idx, blocks = _square_blocks(mat)
-        assert not subsets._det_lower(blocks)[0].any()
+        assert not subsets._det_lower(blocks).any()
         verdicts = [oracles.spans_svd(mat, S) for S in idx]
-        assert subsets.full_rank(mat, idx).tolist() == verdicts
+        assert subsets.full_rank(mat, idx, subsets._floor(mat)).tolist() == verdicts
         ok, witness = full_spark(Frame(mat))
         assert not ok and tuple(witness.indices()) == tuple(idx[verdicts.index(False)])
         assert tau(Frame(mat)) == _tau_loop(mat)
@@ -346,7 +379,7 @@ class TestDeterminantScreen:
         sides = [list(S) for k in range(n, m + 1) for S in itertools.combinations(range(m), k)]
         grams = np.array([mat[:, S] @ mat[:, S].T for S in sides])
         lam = np.linalg.eigvalsh(grams)[:, 0]
-        assert (subsets._det_lower(grams)[0] <= np.maximum(lam, 0.0)).all()
+        assert (subsets._det_lower(grams) <= np.maximum(lam, 0.0)).all()
 
     @pytest.mark.parametrize("scale", [1e80, 1e-80])
     def test_scaled_frames_fall_back_to_eigvalsh_in_delta(self, scale, monkeypatch):
@@ -359,7 +392,7 @@ class TestDeterminantScreen:
 
         def spy(blocks):
             out = det_lower(blocks)
-            bounds.append(out[0])
+            bounds.append(out)
             return out
 
         monkeypatch.setattr(subsets, "_det_lower", spy)
@@ -425,7 +458,7 @@ def _omega_loop(mat):
     else:
         candidates = (
             b for b in range(1 << m)
-            if b == full or matrix_rank(mat[:, list(indices(full ^ b, m))]) < n
+            if b == full or not oracles.spans_svd(mat, indices(full ^ b, m))
         )
     values = {bits: _sigma_loop(mat, bits) for bits in candidates}
     best_bits, best_val = None, np.inf
@@ -442,7 +475,7 @@ def _tau_loop(mat):
         (
             float(np.linalg.svd(mat[:, list(S)], compute_uv=False)[n - 1])
             for S in itertools.combinations(range(m), n)
-            if matrix_rank(mat[:, list(S)]) == n
+            if oracles.spans_svd(mat, S)
         ),
         default=math.inf,
     )
@@ -526,7 +559,7 @@ class TestAgainstLoops:
             assert witness.bits == ref_bits
         else:
             # a tie the loop broke by bitmask order
-            assert matrix_rank(mat[:, witness.complement().indices()]) < n
+            assert not oracles.spans_svd(mat, witness.complement().indices())
             assert _sigma_loop(mat, witness.bits) == value
         try:
             assert tau(Frame(mat)) == _tau_loop(mat)
@@ -613,7 +646,7 @@ def _hyperplane_rows_dict(mat):
     n, m = mat.shape
     extra = {}
     for idx in subsets.chunked(itertools.combinations(range(m), n), n, n):
-        for row in idx[~subsets.full_rank(mat, idx)].tolist():
+        for row in idx[~subsets.full_rank(mat, idx, subsets._floor(mat))].tolist():
             for p, j in enumerate(row):
                 extra.setdefault(tuple(row[:p] + row[p + 1:]), []).append(j)
     rows = []
@@ -685,7 +718,8 @@ class TestHyperplaneSets:
         passes, ranked = [], []
         deficient, full_rank = subsets._deficient, subsets.full_rank
         monkeypatch.setattr(subsets, "_deficient", lambda a: passes.append(1) or deficient(a))
-        monkeypatch.setattr(subsets, "full_rank", lambda a, idx: ranked.append(len(idx)) or full_rank(a, idx))
+        monkeypatch.setattr(subsets, "full_rank",
+                            lambda a, idx, floor: ranked.append(len(idx)) or full_rank(a, idx, floor))
         ok, witness = full_spark(Frame(mat))
         assert not ok and tuple(witness.indices()) == (0, 2, 10, 11)
         assert (len(passes), ranked) == (1, [subsets.FIRST_CHUNK, 2 * subsets.FIRST_CHUNK])

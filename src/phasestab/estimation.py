@@ -13,11 +13,12 @@ objective is a quartic, minimized in closed form.  A start stops when the
 gradient max-abs is at most LS_GTOL, when a step lowers the objective by at
 most LS_TOL relative to max(f, 1), or after LS_MAX_ITERS iterations.
 
-Both take a stack of measurement vectors, one per row, and solve every row
-in lockstep: `mse_monte_carlo` makes one `ls_estimate` call for all its
-trials, and that call one `minimize` call per start.  Each row is solved
-in its own lane with per-lane reductions, so its result equals the 1-D
-call on that row bit for bit, whatever the other rows and their number.
+`ls_estimate` takes one measurement vector or a stack of them, one per
+row, and `minimize` takes stacks only; both solve every row in lockstep:
+`mse_monte_carlo` makes one `ls_estimate` call for all its trials, and that
+call one `minimize` call per start.  Each row is solved in its own lane
+with per-lane reductions, so its result equals the one-row call on that
+row bit for bit, whatever the other rows and their number.
 """
 
 from __future__ import annotations
@@ -173,13 +174,13 @@ class LSConfig:
 
 
 class LSResult(NamedTuple):
-    """End point of `minimize`: scalars for 1-D input, per-lane arrays for a
-    stack (x of shape (T, n), the others of shape (T,))."""
+    """End points of `minimize`, one per lane: x of shape (T, n), the
+    others of shape (T,)."""
 
     x: np.ndarray
-    fun: float                   # sum_k (<x, f_k>^2 - y_k)^2 at x
-    iterations: int
-    gauss_newton_steps: int      # iterations whose Hessian had no Cholesky factor
+    fun: np.ndarray                 # sum_k (<x, f_k>^2 - y_k)^2 at x
+    iterations: np.ndarray
+    gauss_newton_steps: np.ndarray  # iterations whose Hessian had no Cholesky factor
 
 
 # The solver works on stacks of lanes, one lane per row.  Every reduction
@@ -296,12 +297,12 @@ def _line_min(
 
 
 def minimize(frame: Frame, y: np.ndarray, x0: np.ndarray) -> LSResult:
-    """Local minimizer of sum_k (c_k^2 - y_k)^2, c = F^T x, from x0.
+    """Local minimizers of sum_k (c_k^2 - y_k)^2, c = F^T x, one per row of
+    the stacks y (T, m) and x0 (T, n).
 
-    y has shape (m,) or (T, m) and x0 (n,) or (T, n).  A stack runs one
-    lane per row, all lanes in lockstep, each by the rules below and frozen
-    once it stops; a lane's result equals the 1-D call on its row bit for
-    bit.
+    Each row runs as a lane, all lanes in lockstep, each by the rules below
+    and frozen once it stops; a lane's result equals the one-row call on its
+    row bit for bit.
 
     Along any line the objective is a quartic polynomial, so each iteration
     moves x to the exact lowest point of a line through x (`_line_min`).
@@ -317,21 +318,16 @@ def minimize(frame: Frame, y: np.ndarray, x0: np.ndarray) -> LSResult:
     """
     mat = frame.matrix
     n, m = mat.shape
-    y = np.asarray(y, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    rows = max(len(v) if v.ndim == 2 else 1 for v in (y, x0))
-    ys = np.broadcast_to(y, (rows, m))
-    xs = np.broadcast_to(x0, (rows, n))
+    y, x0 = np.asarray(y, dtype=float), np.asarray(x0, dtype=float)
+    if y.ndim != 2 or y.shape[1] != m or x0.shape != (len(y), n):
+        raise DimensionMismatchError(f"minimize takes stacks (T, {m}), (T, {n}); got {y.shape}, {x0.shape}")
     outer = mat[:, None, :] * mat[None, :, :]
-    out = (np.empty((rows, n)), np.empty(rows), np.zeros(rows, dtype=int), np.zeros(rows, dtype=int))
+    out = (np.empty(x0.shape), np.empty(len(y)), np.zeros(len(y), dtype=int), np.zeros(len(y), dtype=int))
     # a lane's largest temporaries: the Hessian's products (n n m) and the
     # line search's (about 24 m)
-    for part in _row_chunks(rows, 8 * m * (n * n + n + 24)):
-        _descend(mat, outer, ys[part], xs[part], [v[part] for v in out])
-    if y.ndim == 2 or x0.ndim == 2:
-        return LSResult(*out)
-    x, fun, iterations, gn_steps = out
-    return LSResult(x[0], float(fun[0]), int(iterations[0]), int(gn_steps[0]))
+    for part in _row_chunks(len(y), 8 * m * (n * n + n + 24)):
+        _descend(mat, outer, y[part], x0[part], [v[part] for v in out])
+    return LSResult(*out)
 
 
 def _descend(mat: np.ndarray, outer: np.ndarray, y: np.ndarray, x: np.ndarray, out: list) -> None:

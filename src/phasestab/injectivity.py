@@ -32,11 +32,10 @@ A0_REL_TOL = 1e-12
 
 FULL_SPARK_BUDGET = 10_000_000    # cap on C(m, n): full spark, complement property, exact omega
 A0_TOL = 1e-10                    # a0 descent stops below this gradient norm or gain
+A0_MAX_ITERS = 200                # rounds of a0's polish per start
 A0_MERGE_TOL = 1e-6               # a0 starts share one polish where 1 - |<x_i, x_j>| and
                                   # 1 - |<u_i, u_j>| are both below this; relative, since
                                   # x and u are unit vectors (1e-6: about 1.4e-3 rad)
-SPEC_ROWS = 64                    # rows per speculative Armijo call: one call's fixed
-                                  # cost is about that of solving this many rows
 
 
 @dataclass
@@ -44,12 +43,10 @@ class A0Config:
     """Search configuration for the a0 minimization."""
 
     restarts: int = 64
-    max_iters: int = 200
     seed: int = 0
 
     def __post_init__(self):
         _check_count("restarts", self.restarts)
-        _check_count("max_iters", self.max_iters)
 
 
 @dataclass
@@ -156,30 +153,30 @@ def _retire_after_zero(vals: np.ndarray, live: np.ndarray) -> None:
 
 
 def _a0_polish(mat: np.ndarray, xs: np.ndarray, vals: np.ndarray, us: np.ndarray,
-               live: np.ndarray, max_iters: int) -> None:
+               live: np.ndarray) -> None:
     """a0's projected gradient descent of lambda_min(R(x)) on the unit sphere
     from the live unit rows of xs, all in lockstep, updating xs, vals and us
     (the eigenvector at x) in place.  Each round takes the projected
     gradient of sum_j <x,f_j>^2 <u,f_j>^2 in x at every live row, then
     backtracks along it over 40 halvings of t until the Armijo test
     (constant 0.25) holds, and starts that row's next round at min(2t, 1).
-    A row stops after max_iters rounds, below a gradient norm of A0_TOL, or
-    when no t passes; a row at 0.0 retires itself and every later row
+    A row stops after A0_MAX_ITERS rounds, below a gradient norm of A0_TOL,
+    or when no t passes; a row at 0.0 retires itself and every later row
     (`_retire_after_zero`).
 
     The first t of a round is one `_lambda_min_r` call on every row.  The
     rows that fail it then try their next k halvings t 2^-j (j < k) in one
-    stacked call, k = max(1, SPEC_ROWS // rows still backtracking) capped
-    by the halvings left, so a stack never holds more than max(live rows,
-    SPEC_ROWS) rows.  Each row takes its first passing t and discards the
-    candidates after it.  Row by row this is the same arithmetic as a
-    descent of one start: ldexp is the exact repeated halving, np.vecdot
-    stands for np.dot and sqrt(vecdot(v, v)) for np.linalg.norm(v).  The
-    discarded candidates are unit vectors like the others, since
-    ||x - t rgrad|| >= 1 when rgrad is orthogonal to x."""
+    stacked call, k = max(1, len(xs) // rows still backtracking) capped by
+    the halvings left, so a stack never holds more rows than xs, the chunk
+    of starts that `a0` sizes to subsets.CHUNK_BYTES.  Each row takes its
+    first passing t and discards the candidates after it.  Row by row this
+    is the same arithmetic as a descent of one start: ldexp is the exact
+    repeated halving, np.vecdot stands for np.dot and sqrt(vecdot(v, v))
+    for np.linalg.norm(v).  The discarded candidates are unit vectors like
+    the others, since ||x - t rgrad|| >= 1 when rgrad is orthogonal to x."""
     ones = np.ones(mat.shape[1])
     step = np.ones(len(xs))
-    for _ in range(max_iters):
+    for _ in range(A0_MAX_ITERS):
         rows = np.flatnonzero(live)
         if rows.size == 0:
             break
@@ -195,7 +192,7 @@ def _a0_polish(mat: np.ndarray, xs: np.ndarray, vals: np.ndarray, us: np.ndarray
         todo = np.arange(rows.size)  # rows still backtracking
         tried = 0
         while todo.size and tried < 40:
-            k = 1 if tried == 0 else min(40 - tried, max(1, SPEC_ROWS // todo.size))
+            k = 1 if tried == 0 else min(40 - tried, max(1, len(xs) // todo.size))
             ts = np.ldexp(t[todo], -np.arange(k)[:, None])  # (k, rows): halving j of each row
             cand = (x[todo] - ts[:, :, None] * rgrad[todo]).reshape(-1, x.shape[1])
             cand /= np.sqrt(np.vecdot(cand, cand))[:, None]
@@ -266,7 +263,7 @@ def _merge_basins(xs: np.ndarray, us: np.ndarray, live: np.ndarray, kept: list) 
         k += 1
 
 
-def _a0_lockstep(mat: np.ndarray, xs: np.ndarray, max_iters: int, kept: list):
+def _a0_lockstep(mat: np.ndarray, xs: np.ndarray, kept: list):
     """(values, x, u) of a0's descent from each unit row of xs, in lockstep:
     alternating eigen minimization, then a projected gradient polish on the
     sphere of the starts that `_merge_basins` keeps; kept carries the
@@ -293,7 +290,7 @@ def _a0_lockstep(mat: np.ndarray, xs: np.ndarray, max_iters: int, kept: list):
         xs[acc], us[acc], vals[acc] = x_new[~stop], u_new[~stop], new_vals[~stop]
         _retire_after_zero(vals, live)
     _merge_basins(xs, us, live, kept)
-    _a0_polish(mat, xs, vals, us, live, max_iters)
+    _a0_polish(mat, xs, vals, us, live)
     return vals, xs, us
 
 
@@ -345,7 +342,7 @@ def a0(frame: Frame, cfg: A0Config | None = None) -> tuple[float, np.ndarray, np
     best, kept = None, []
     rows = max(1, subsets.CHUNK_BYTES // (8 * frame.dim * frame.count))
     for lo in range(0, len(xs), rows):
-        vals, x, u = _a0_lockstep(mat, xs[lo:lo + rows], cfg.max_iters, kept)
+        vals, x, u = _a0_lockstep(mat, xs[lo:lo + rows], kept)
         i = int(np.argmin(vals))
         if best is None or vals[i] < best[0]:
             best = (float(vals[i]), x[i].copy(), u[i].copy())

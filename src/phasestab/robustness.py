@@ -207,8 +207,12 @@ def omega(
     Exact mode: sigma_n grows with S, so the minimum sits at a least such S,
     an H_T^c (`subsets.hyperplane_complements`), up to FULL_SPARK_BUDGET
     n-subsets; when no n-subset spans, omega = 0 at S = {}.  The witness is
-    the first candidate of least value in combinations order of T.  Sampled
-    mode draws the T and keeps the first of least value in draw order.
+    the first candidate of least value in combinations order of T whose
+    complement does not span R^n (`subsets.omega_min`).  Under the rank
+    floor an H_T can span; its H_T^c is then skipped, and where one is,
+    the value is an upper bound on omega.  VerdictConflictError is raised
+    when every candidate is skipped.  Sampled mode draws the T and keeps the
+    first of least value in draw order.
     """
     n, m = frame.dim, frame.count
     if mode == "exact":
@@ -765,7 +769,7 @@ def lipschitz_constants(
             "Delta": delta_exact,
             "omega": omega_exact,
             "tau": tau_exact,
-            "lambdaF": frame.dim == 2,
+            "lambdaF": frame.dim <= 2,
             "a0": frame.dim <= 2,
             "A": True,
             "B": True,

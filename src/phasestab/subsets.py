@@ -55,10 +55,12 @@ membership rows, with one batched LAPACK call per chunk:
   omega need only the sets H_T^c, never the 2^m subsets.  In exact rank H_T
   is the hyperplane span(F_T) and fails too.  Under the floor, columns that
   each fail with T can pass it together, as where column norms differ by
-  orders of magnitude: then that H_T^c has a complement that
-  spans, and exact omega, the least sigma_n over the H_T^c, can fall below
-  omega.  The complement check tests both sides of each row, so its
-  witnesses always hold.  One rank pass
+  orders of magnitude: then that H_T^c has a complement that spans, and
+  is no candidate for omega.  Exact omega skips such rows (`omega_min`), so
+  its witness's complement never spans; where it skips one, the least
+  sigma_n over the rows left is an upper bound on omega, not omega itself.
+  The complement check tests both sides of each row, so its witnesses
+  always hold.  One rank pass
   over the n-subsets (`_deficient`) serves full spark, which stops at its
   first deficient row, and the hyperplane sets, which keep its verdicts as
   one bit per n-subset at the subset's colex rank.
@@ -114,7 +116,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, VerdictConflictError
 from .frame_core import EIG_CLAMP_RTOL, RANK_RTOL
 
 CHUNK_BYTES = 1 << 22        # working set of one chunk (4 MiB)
@@ -410,12 +412,18 @@ def kernel_starts(mat: np.ndarray) -> np.ndarray:
 
 def omega_min(mat: np.ndarray, chunks: Iterable[np.ndarray]) -> tuple[float, int]:
     """(min, witness bitmask) of sigma_n(F_S) over the membership rows S of
-    the chunks: the first least value in their order (exact omega over the
-    chunks of `hyperplane_complements`).  Once there is an incumbent, a
-    square row whose screen bound keeps its Gram value above it, by more
-    than the Gram route's allowance (`gram_allowance` of the row), could
-    never be taken, so it is left at inf unsolved."""
+    the chunks whose complement does not span R^n: the first least such
+    value in their order (exact omega over the chunks of
+    `hyperplane_complements`).  A row is checked only when it would become
+    the incumbent: if its complement spans (`spans`, which answers no
+    without an SVD below n columns), it is set to inf and the next least
+    row is taken; VerdictConflictError is raised when no row is left.  Once
+    there is an incumbent, a square row whose screen bound keeps its Gram
+    value above it, by more than the Gram route's allowance
+    (`gram_allowance` of the row), could never be taken, so it is left at
+    inf unsolved."""
     n = mat.shape[0]
+    floor = _floor(mat)
     best, best_row = np.inf, None
     for member in chunks:
         values = np.full(len(member), np.inf)
@@ -426,9 +434,14 @@ def omega_min(mat: np.ndarray, chunks: Iterable[np.ndarray]) -> tuple[float, int
                 need = lower * lower <= (best * best + gram_allowance(blocks)) * (1 + 8 * _EPS)
                 pos, blocks = pos[need], blocks[need]
             values[pos] = np.sqrt(_gram_lambda_min(blocks))
-        if len(values) and values.min() < best:
+        while len(values) and values.min() < best:
             i = int(np.argmin(values))
-            best, best_row = values[i], member[i]
+            if spans(mat, ~member[i:i + 1], floor)[0]:  # no SVD below n columns
+                values[i] = np.inf
+            else:
+                best, best_row = values[i], member[i]
+    if best_row is None:
+        raise VerdictConflictError("omega: the complement of every candidate set spans R^n")
     return float(best), _bits(best_row)
 
 

@@ -113,7 +113,7 @@ def test_criterion_1_mb3_constant_suite():
 
 def test_criterion_2_injectivity_cross_validation():
     start = time.monotonic()
-    cfg = A0Config(restarts=8, max_iters=60)
+    cfg = A0Config(restarts=8)
     rng = np.random.default_rng(2024)
     disagreements = 0
     count = 0

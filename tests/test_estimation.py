@@ -256,22 +256,30 @@ class TestLSSolver:
         scale = math.sqrt(float(np.mean(y)))
         fallbacks = 0
         for _ in range(40):
-            res = estimation.minimize(frame, y, scale * rng.standard_normal(3))
-            fallbacks += res.gauss_newton_steps > 0
-            assert 0 < res.iterations < estimation.LS_MAX_ITERS
+            x_end, fun, iterations, gn_steps = (
+                v[0] for v in estimation.minimize(frame, y[None], scale * rng.standard_normal((1, 3))))
+            fallbacks += gn_steps > 0
+            assert 0 < iterations < estimation.LS_MAX_ITERS
             # at f ~ 1e-30, f is rounding noise of F^T x: evaluate it in the
             # solver's order, a fixed-order sum over the n coordinates
-            r = estimation._coeffs(frame.matrix, res.x) ** 2 - y
-            assert res.fun == pytest.approx(float(np.sum(r * r)), rel=1e-9, abs=1e-30)
-            assert res.fun < 1e-20
-            assert dist_d(res.x, x) < 1e-10
+            r = estimation._coeffs(frame.matrix, x_end) ** 2 - y
+            assert fun == pytest.approx(float(np.sum(r * r)), rel=1e-9, abs=1e-30)
+            assert fun < 1e-20
+            assert dist_d(x_end, x) < 1e-10
         assert fallbacks >= 1
 
     def test_stationary_start_returns_at_once(self):
         y = simulate_measurements(MB3, np.array([0.6, 0.8]), None, seed=0)
-        res = estimation.minimize(MB3, y, np.zeros(2))
-        assert res.iterations == 0
-        assert res.fun == float(y @ y)
+        res = estimation.minimize(MB3, y[None], np.zeros((1, 2)))
+        assert res.iterations.tolist() == [0]
+        assert res.fun.tolist() == [float(y @ y)]
+
+    @pytest.mark.parametrize("y_shape, x0_shape", [
+        ((3,), (2,)), ((1, 3), (2,)), ((2, 3), (1, 2)), ((1, 4), (1, 2)), ((1, 3), (1, 3)),
+    ])
+    def test_minimize_takes_stacks_only(self, y_shape, x0_shape):
+        with pytest.raises(DimensionMismatchError, match="minimize takes stacks"):
+            estimation.minimize(MB3, np.ones(y_shape), np.ones(x0_shape))
 
     def test_line_min_is_lowest_point_on_each_line(self):
         rng = np.random.default_rng(9)
@@ -462,9 +470,8 @@ class TestBatched:
         stacked = estimation.minimize(frame, y, x0)
         assert stacked.x.shape == (rows, frame.dim) and stacked.fun.shape == (rows,)
         for i in range(rows):
-            alone = estimation.minimize(frame, y[i], x0[i])
-            assert isinstance(alone.fun, float) and isinstance(alone.iterations, int)
-            assert same_result(alone, [v[i] for v in stacked]), i
+            alone = estimation.minimize(frame, y[i:i + 1], x0[i:i + 1])
+            assert same_result(alone, [v[i:i + 1] for v in stacked]), i
         perm = np.random.default_rng(1).permutation(rows)
         shuffled = estimation.minimize(frame, y[perm], x0[perm])
         assert same_result(shuffled, [v[perm] for v in stacked])

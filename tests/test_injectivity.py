@@ -172,11 +172,9 @@ class TestA0:
         assert a0_scale(fr) == pytest.approx(1.0, abs=1e-12)  # unit columns
 
     @pytest.mark.parametrize("field, value, message", [
-        # a negative max_iters used to skip the polish silently, and a float
-        # restarts to fail later inside numpy
-        ("max_iters", -5, "max_iters must be >= 0, got -5"),
+        ("restarts", -5, "restarts must be >= 0, got -5"),
+        # a float restarts used to fail later inside numpy
         ("restarts", 2.5, "restarts must be an integer, got 2.5"),
-        ("max_iters", 60.0, "max_iters must be an integer, got 60.0"),
         ("restarts", True, "restarts must be an integer, got True"),
     ])
     def test_config_rejects_bad_counts(self, field, value, message):
@@ -190,8 +188,8 @@ class TestA0:
 
     def test_config_takes_numpy_integers(self):
         fr = random_frame(3, 6, 5)
-        got = a0(fr, A0Config(restarts=np.int64(8), max_iters=np.int32(60)))
-        want = a0(fr, A0Config(restarts=8, max_iters=60))
+        got = a0(fr, A0Config(restarts=np.int64(8), seed=np.int32(3)))
+        want = a0(fr, A0Config(restarts=8, seed=3))
         assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
 
@@ -313,7 +311,7 @@ class TestPhaseRetrievable:
         assert cert.witness is not None
 
     def test_agreement_on_random_frames(self):
-        cfg = A0Config(restarts=8, max_iters=60)
+        cfg = A0Config(restarts=8)
         for seed in range(40):
             n = 2 + seed % 2
             fr = random_frame(n, 2 * n - 1, seed + 500)

@@ -162,6 +162,13 @@ class TestLambdaF:
         val, x_star = lambdaF(MB3)
         assert val == pytest.approx((9.0 / 8.0) ** 0.25, abs=1e-9)
 
+    def test_exact_for_one_dimension(self):
+        # for n = 1 the unit x is +-1 and Lambda_F = (sum f_j^4)^(1/4)
+        fr = Frame(np.array([[0.5, -1.5, 2.0]]))
+        c = lipschitz_constants(fr)
+        assert c.exact["lambdaF"] and c.exact["a0"]
+        assert c.lambdaF == np.sum(fr.matrix**4) ** 0.25
+
     def test_grid_oracle_2d(self):
         for seed in range(4):
             fr = random_frame(2, 4, seed + 40)
@@ -508,7 +515,7 @@ class TestLipschitzConstants:
         assert not d_exact and o_exact
         assert d_val <= o_val
         assert d_val == math.sqrt(subsets.partition_bounds(fr.matrix, [d_mask.bits])[0])
-        c = lipschitz_constants(fr, A0Config(restarts=1, max_iters=5))
+        c = lipschitz_constants(fr, A0Config(restarts=1))
         assert (c.Delta, c.omega) == (d_val, o_val)
 
     def test_chain_holds_with_a_repeated_column(self):
@@ -518,7 +525,7 @@ class TestLipschitzConstants:
         for seed in range(200):
             mat = np.random.default_rng(seed).standard_normal((3, 5))
             mat[:, 1] = mat[:, 0]
-            lipschitz_constants(Frame(mat), A0Config(restarts=1, max_iters=5))
+            lipschitz_constants(Frame(mat), A0Config(restarts=1))
 
     @pytest.mark.parametrize("excess", [0.5, 2.0])
     def test_chain_allows_the_gram_rounding_only(self, excess, monkeypatch):

@@ -14,10 +14,10 @@ from phasestab import (
     A0Config, Frame, a0, gram, injectivity, lambdaF, load_frame, r_matrix, subsets, sym_eig,
 )
 from phasestab.cli import FIXTURES
-from phasestab.injectivity import A0_MERGE_TOL, A0_TOL, SPEC_ROWS
+from phasestab.injectivity import A0_MAX_ITERS, A0_MERGE_TOL, A0_TOL
 from phasestab.robustness import LAMBDA_MAX_ITERS, LAMBDA_RESTARTS
 
-CONFIGS = [A0Config(), A0Config(restarts=8, max_iters=60), A0Config(seed=7)]
+CONFIGS = [A0Config(), A0Config(restarts=8), A0Config(seed=7)]
 
 
 def _fixture(name):
@@ -29,12 +29,12 @@ def _lambda_min_r_loop(frame, x):
     return float(max(evals[-1], 0.0)), evecs[:, -1]
 
 
-def _a0_polish_loop(frame, x, val, u, max_iters, log):
+def _a0_polish_loop(frame, x, val, u, log):
     """One start's projected gradient polish; log gets each backtracking
     round's passing halving (0 for the first t) or 40 when no t passed."""
     mat, ones = frame.matrix, np.ones(frame.count)
     step = 1.0
-    for _ in range(max_iters):
+    for _ in range(A0_MAX_ITERS):
         g = 2.0 * (mat * ((mat.T @ x) * (mat.T @ u) ** 2)) @ ones
         rgrad = g - np.dot(g, x) * x
         gnorm = np.linalg.norm(rgrad)
@@ -58,7 +58,7 @@ def _a0_polish_loop(frame, x, val, u, max_iters, log):
     return val, x, u
 
 
-def _a0_descent_loop(frame, x0, cfg, kept, logs=None):
+def _a0_descent_loop(frame, x0, kept, logs=None):
     """One start's alternation, then its polish unless its (x, u) lies
     within A0_MERGE_TOL of a point in kept, up to sign; a polished start
     appends its post-alternation (x, u) to kept, and its halving log to
@@ -81,7 +81,7 @@ def _a0_descent_loop(frame, x0, cfg, kept, logs=None):
     log = []
     if logs is not None:
         logs.append(log)
-    return _a0_polish_loop(frame, x, val, u, cfg.max_iters, log)
+    return _a0_polish_loop(frame, x, val, u, log)
 
 
 def _a0_loop(frame, cfg, logs=None):
@@ -99,7 +99,7 @@ def _a0_loop(frame, cfg, logs=None):
     for x0 in starts:
         if np.linalg.norm(x0) == 0:
             continue
-        val, x, u = _a0_descent_loop(frame, x0, cfg, kept, logs)
+        val, x, u = _a0_descent_loop(frame, x0, kept, logs)
         ran.append(val)
         if best is None or val < best[0]:
             best = (val, x, u)
@@ -210,18 +210,18 @@ class TestLockstepMatchesLoops:
         _assert_bits(a0(frame, cfg), best)
 
 
-def _passes_inside_later_blocks(logs):
+def _passes_inside_later_blocks(logs, chunk_rows):
     """How many passes the lockstep finds inside a speculative block after
     the first one of its round, past the block's first t, given every
-    start's halving log: round r backtracks the starts with more than r
-    logged rounds, first over one t, then in blocks of
-    max(1, SPEC_ROWS // rows left) halvings."""
+    start's halving log from one chunk of chunk_rows starts: round r
+    backtracks the starts with more than r logged rounds, first over one t,
+    then in blocks of max(1, chunk_rows // rows left) halvings."""
     count = 0
     for r in range(max(map(len, logs))):
         todo = [log[r] for log in logs if len(log) > r]
         tried, block = 0, 0
         while todo and tried < 40:
-            k = 1 if tried == 0 else min(40 - tried, max(1, SPEC_ROWS // len(todo)))
+            k = 1 if tried == 0 else min(40 - tried, max(1, chunk_rows // len(todo)))
             if block >= 2:
                 count += sum(tried < j < tried + k for j in todo)
             todo = [j for j in todo if j >= tried + k]
@@ -242,18 +242,22 @@ class TestSpeculativeHalvings:
         _assert_same_as_loops(frame, CONFIGS[0])
 
     def test_pass_inside_a_later_speculative_block(self):
-        frame = Frame(np.random.default_rng(1).standard_normal((3, 5)))
+        frame = Frame(np.random.default_rng(8).standard_normal((4, 7)))
         logs = []
         _a0_loop(frame, CONFIGS[0], logs)
-        assert _passes_inside_later_blocks(logs) > 0
+        # the 104 starts (4 axes, 35 kernel vectors, the Gram start and 64
+        # seeded ones) fit in one chunk
+        assert _passes_inside_later_blocks(logs, 104) > 0
         _assert_same_as_loops(frame, CONFIGS[0])
 
-    @pytest.mark.parametrize("spec_rows", [1, 3, 10_000])
-    def test_any_row_cap(self, spec_rows, monkeypatch):
-        # one halving per call (the serial schedule), small blocks, and every
-        # halving left in one block
-        monkeypatch.setattr(injectivity, "SPEC_ROWS", spec_rows)
-        _assert_same_as_loops(_fixture("gauss_4x11"), CONFIGS[1])
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 10_000])
+    def test_any_row_cap(self, chunk_rows, monkeypatch):
+        # a stack holds at most a chunk's rows: one halving per call (the
+        # serial schedule), small blocks, and all 178 starts in one chunk
+        frame = _fixture("gauss_4x11")
+        want = _a0_loop(frame, CONFIGS[1])[0]
+        monkeypatch.setattr(subsets, "CHUNK_BYTES", 8 * frame.dim * frame.count * chunk_rows)
+        _assert_bits(a0(frame, CONFIGS[1]), want)
 
 
 class TestChunkedStarts:
@@ -278,7 +282,7 @@ class TestChunkedStarts:
         finally:
             subsets.CHUNK_BYTES = saved
 
-    def test_stacks_stay_within_chunk_or_row_cap(self, monkeypatch):
+    def test_stacks_stay_within_chunk(self, monkeypatch):
         frame = _fixture("gauss_4x11")
         chunk_rows = 7
         monkeypatch.setattr(subsets, "CHUNK_BYTES", 8 * frame.dim * frame.count * chunk_rows)
@@ -291,7 +295,7 @@ class TestChunkedStarts:
 
         monkeypatch.setattr(injectivity, "_lambda_min_r", spy)
         _assert_bits(a0(frame, CONFIGS[1]), _a0_loop(frame, CONFIGS[1])[0])
-        assert chunk_rows < max(sizes) <= max(chunk_rows, SPEC_ROWS)
+        assert max(sizes) <= chunk_rows
 
     def test_zero_skips_later_chunks(self, monkeypatch):
         # one start per chunk: start 1 reaches 0, so no chunk after it runs
@@ -300,9 +304,9 @@ class TestChunkedStarts:
         chunks = []
         lockstep = injectivity._a0_lockstep
 
-        def spy(mat, xs, max_iters, kept):
+        def spy(mat, xs, kept):
             chunks.append(len(xs))
-            return lockstep(mat, xs, max_iters, kept)
+            return lockstep(mat, xs, kept)
 
         monkeypatch.setattr(injectivity, "_a0_lockstep", spy)
         _assert_bits(a0(frame, CONFIGS[1]), _a0_loop(frame, CONFIGS[1])[0])
@@ -315,9 +319,9 @@ def _polished_starts(monkeypatch):
     counts = []
     polish = injectivity._a0_polish
 
-    def spy(mat, xs, vals, us, live, max_iters):
+    def spy(mat, xs, vals, us, live):
         counts.append(int(live.sum()))
-        return polish(mat, xs, vals, us, live, max_iters)
+        return polish(mat, xs, vals, us, live)
 
     monkeypatch.setattr(injectivity, "_a0_polish", spy)
     return counts
@@ -349,8 +353,8 @@ class TestMergedBasins:
         x0 = np.random.default_rng(3).standard_normal((1, frame.dim))
         x0 /= np.linalg.norm(x0)
         kept = []
-        first = injectivity._a0_lockstep(frame.matrix, x0.copy(), 60, kept)
-        again = injectivity._a0_lockstep(frame.matrix, x0.copy(), 60, kept)
+        first = injectivity._a0_lockstep(frame.matrix, x0.copy(), kept)
+        again = injectivity._a0_lockstep(frame.matrix, x0.copy(), kept)
         assert len(kept) == 1
         # the repeat stops at the kept post-alternation point, with
         # lambda_min(R(x)) there, which the first run's polish lowered

@@ -11,13 +11,13 @@ subsets_digest = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(subsets_digest)
 
 
-def test_frames_come_in_five_families():
+def test_frames_come_in_six_families():
     names = [name for name, _ in subsets_digest.frames()]
     assert len(names) == len(set(names))
     families = [name.split()[0] for name in names]
     gauss = 5 * subsets_digest.SEEDS * 2
     assert families == (["fixture"] * 5 + ["gauss"] * gauss + ["scaled"] * subsets_digest.COLUMN_SCALED
-                        + ["near"] * 36 + ["huge"])
+                        + ["near"] * 36 + ["huge", "coplanar"])
     assert names[5] == "gauss 3x5 seed 0" and names[6] == "gauss 3x5 seed 0 duplicated"
 
 

@@ -25,7 +25,7 @@ from phasestab import (
 )
 from phasestab import frame_core, injectivity, robustness, subsets
 from phasestab.cli import FIXTURES
-from phasestab.errors import ConvergenceError, NotAFrameError
+from phasestab.errors import ConvergenceError, NotAFrameError, VerdictConflictError
 
 EPS = np.finfo(float).eps
 
@@ -569,16 +569,47 @@ class TestAgainstLoops:
     @pytest.mark.parametrize("power", [8, 150])
     def test_omega_is_the_first_least_row_on_column_scaled_frames(self, power):
         # Column norms that span many orders: a row below an earlier one
-        # wins however small the gap, and an equal one never does.
+        # wins however small the gap, and an equal one never does.  A row
+        # whose complement spans under the frame's floor is no candidate.
         for mat in _column_scaled(power, 60):
+            n = mat.shape[0]
+            floor = frame_core.RANK_RTOL * np.linalg.norm(mat, 2)
             least, first = np.inf, None
             for member in subsets.hyperplane_complements(mat):
                 for row in member:
                     value = subsets.sigma_n(mat, np.flatnonzero(row)[None])[0]
+                    rest = mat[:, ~row]
+                    if rest.shape[1] >= n and np.linalg.svd(rest, compute_uv=False)[n - 1] > floor:
+                        continue
                     if value < least:
                         least, first = value, row
             value, witness, _ = omega(Frame(mat))
             assert (value, witness.bits) == (least, subsets._bits(first))
+
+    def test_omega_witness_complement_never_spans_on_column_scaled_frames(self):
+        # On 5 of these 750 frames a hyperplane set H_T passes the floor,
+        # and its complement, once exact omega's witness, set omega below
+        # Delta (frame 572: 0.0 against 8.03e5)
+        for k, mat in enumerate(_column_scaled(8, 750)):
+            n = mat.shape[0]
+            frame = Frame(mat)
+            rest = mat[:, omega(frame)[1].complement().indices()]
+            floor = frame_core.RANK_RTOL * np.linalg.norm(mat, 2)
+            assert rest.shape[1] < n or np.linalg.svd(rest, compute_uv=False)[n - 1] <= floor, k
+            try:
+                robustness.lipschitz_constants(frame, injectivity.A0Config(restarts=1))
+            except NotAFrameError:  # no n-subset spans, so tau has no value
+                pass
+
+    def test_omega_raises_when_every_complement_spans(self):
+        # Every pair of columns fails the floor 1e-10 ||F||, while F with
+        # its 16 columns of 5e-11 along e_2 passes it: the one candidate,
+        # S = {}, has a complement that spans
+        mat = np.zeros((2, 17))
+        mat[0, 0], mat[1, 1:] = 1.0, 5e-11
+        assert Frame(mat).rank() == 2
+        with pytest.raises(VerdictConflictError, match="every candidate set spans"):
+            omega(Frame(mat))
 
     @given(frames(offsets=(6, 14), scales=(-150, 150)))
     @settings(max_examples=30, deadline=None)

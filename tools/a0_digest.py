@@ -11,7 +11,7 @@ library and phasestab (with the numpy it needs) only.
 SRC_DIR holds the phasestab package to run; it defaults to the src next to
 this script's directory.  The frames are the five bundled fixtures under
 the default `A0Config`; the 200 frames of acceptance criterion 2, drawn as
-that test draws them, under its `A0Config(restarts=8, max_iters=60)`; and
+that test draws them, under its `A0Config(restarts=8)`; and
 MIX seeded Gaussian frames from 3x5 to 5x10 under the default `A0Config`,
 every fourth with its last column a multiple of its first.
 """
@@ -35,7 +35,7 @@ def frames():
         path = resources.files("phasestab.fixtures") / f"{name}.json"
         yield f"fixture {name}", load_frame(str(path)), A0Config()
 
-    cfg = A0Config(restarts=8, max_iters=60)
+    cfg = A0Config(restarts=8)
     rng = np.random.default_rng(2024)
     count = 0
     while count < 200:

@@ -11,7 +11,7 @@ library and phasestab (with the numpy it needs) only.
     python tools/subsets_digest.py [SRC_DIR]
 
 SRC_DIR holds the phasestab package to run; it defaults to the src next to
-this script's directory.  The frames come in five families, each name
+this script's directory.  The frames come in six families, each name
 starting with its family:
 
 - fixture: the five bundled fixtures;
@@ -24,7 +24,10 @@ starting with its family:
 - near: seeded Gaussian n x (2n-1) and n x (2n+1) frames for n = 2..4,
   with one column 1e-8 to 1e-13 off the span of n-1 others;
 - huge: the 2x3 frame [[1e12, 0, 1], [0, 1, 0]], whose sigma_1 = 1e12
-  sets the rank floor at 100, above its sigma_2 = 1.
+  sets the rank floor at 100, above its sigma_2 = 1;
+- coplanar: a seeded Gaussian 8x22 frame with unit columns, its last row
+  zero on the first 21 columns, so every hyperplane set that misses the
+  last column holds 21 columns and exact omega checks wide complements.
 """
 
 from __future__ import annotations
@@ -78,6 +81,10 @@ def frames():
                 yield f"near {n}x{m} 1e-{offset}", mat
 
     yield "huge 2x3", np.array([[1e12, 0.0, 1.0], [0.0, 1.0, 0.0]])
+
+    mat = np.random.default_rng(8).standard_normal((8, 22))
+    mat[-1, :21] = 0.0
+    yield "coplanar 8x22", mat / np.linalg.norm(mat, axis=0)
 
 
 def _value(call) -> str:
